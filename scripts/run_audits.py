@@ -57,20 +57,10 @@ PROBE_FULL = PROBE_QUICK + [
 ]
 
 
-def fmt_bundle(E):
-    parts = []
-    for degree, mult in E.summands:
-        piece = "O(" + ",".join(str(a) for a in degree) + ")"
-        if mult > 1:
-            piece += f"^{mult}"
-        parts.append(piece)
-    return " + ".join(parts)
-
-
-def run_audit(task, jobs):
+def run_audit(task):
     criterion, shape, bound, max_rank, r = task
     t0 = time.perf_counter()
-    report = desk_scale_audit(shape, bound, max_rank, criterion, r=r, jobs=jobs)
+    report = desk_scale_audit(shape, bound, max_rank, criterion, r=r)
     elapsed = time.perf_counter() - t0
     label = f"{criterion} on {shape}, degrees in [-{bound}..{bound}], rank <= {max_rank}"
     if r is not None:
@@ -87,7 +77,6 @@ def main(argv=None):
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--quick", action="store_true", help="small boxes only (default)")
     mode.add_argument("--full", action="store_true", help="larger boxes and the thm13 cap grid")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes per audit")
     args = parser.parse_args(argv)
 
     clean_tasks = CLEAN_FULL if args.full else CLEAN_QUICK
@@ -97,19 +86,19 @@ def main(argv=None):
 
     print("== biconditional audits (off-diagonals must be empty) ==\n")
     for task in clean_tasks:
-        report = run_audit(task, args.jobs)
+        report = run_audit(task)
         if report.clean:
             print("    -> clean\n")
         else:
             failures += 1
             print(f"    -> FAILURE: {report.hyp_only} hyp_only, {report.concl_only} concl_only")
             for E, hyp, concl in report.mismatches[:10]:
-                print(f"       {fmt_bundle(E)}  hypothesis={hyp}  conclusion={concl}")
+                print(f"       {E}  hypothesis={hyp}  conclusion={concl}")
             print()
 
     print("== three-factor probes (hyp_only rows are expected findings) ==\n")
     for task in probe_tasks:
-        report = run_audit(task, args.jobs)
+        report = run_audit(task)
         if report.concl_only:
             failures += 1
             print(f"    -> FAILURE: {report.concl_only} bundles match the split form "
@@ -119,7 +108,7 @@ def main(argv=None):
                   "but exceed the gap bound:")
             shown = [E for E, hyp, concl in report.mismatches if hyp and not concl]
             for E in shown[:12]:
-                print(f"       {fmt_bundle(E)}")
+                print(f"       {E}")
             if len(shown) > 12:
                 print(f"       ... and {len(shown) - 12} more")
         else:

@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True, help="degree box half-width B")
     p.add_argument("--max-rank", type=int, required=True)
     p.add_argument("--r", help="per-axis excess caps (thm13 only)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--strict", action="store_true", help="exit 1 when mismatches are found")
     add_format(p)
 

@@ -380,13 +380,17 @@ def _box(s: int, bound: int):
             yield rest + (x,)
 
 
-def bundle_to_json(E: LineBundleSum) -> str:
-    """Canonical JSON for a bundle; parsing it back gives an equal bundle."""
-    doc = {
+def bundle_to_doc(E: LineBundleSum) -> dict:
+    """The decoded form of bundle_to_json(E): shape and summands as lists."""
+    return {
         "shape": list(E.shape.dims),
         "summands": [{"degree": list(d), "mult": m} for d, m in E.summands],
     }
-    return json.dumps(doc, separators=(",", ":"))
+
+
+def bundle_to_json(E: LineBundleSum) -> str:
+    """Canonical JSON for a bundle; parsing it back gives an equal bundle."""
+    return json.dumps(bundle_to_doc(E), separators=(",", ":"))
 
 
 def bundle_from_json(source) -> LineBundleSum:

@@ -23,13 +23,14 @@ only-if direction exact on any number of factors.
 The balanced-power criterion (lemma14) lives on (P^n)^s and bounds the
 pairwise gaps of every summand degree by n.
 
-desk_scale_audit enumerates every canonical bundle in a degree box up to
-a rank cap and cross-tabulates hypothesis against conclusion, reporting
-every mismatch verbatim.
+desk_scale_audit cross-tabulates hypothesis against conclusion over every
+canonical bundle in a degree box up to a rank cap.  On a direct sum both
+sides are ANDs over the summands, so it evaluates each degree once on its
+line bundle, counts the 2x2 table with multiset binomials over the four
+(hypothesis, conclusion) classes, and builds only the mismatches, which it
+reports verbatim.
 """
 
-import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -42,7 +43,7 @@ from .core import (
     Shape,
     _as_shape,
     _check_vector,
-    bundle_to_json,
+    bundle_to_doc,
     nonvanishing_twist_intervals,
     sum_cohomology_dim,
 )
@@ -137,14 +138,20 @@ def _criterion_violations(E: LineBundleSum, caps: tuple[int, ...]) -> ViolationR
     return ViolationReport(shape, tuple(rows))
 
 
+def _require_excess_shape(shape: Shape) -> None:
+    if any(n < 2 for n in shape.dims):
+        raise HypothesisDomainError("excess-2 criterion needs every factor of dimension >= 2")
+
+
 def thm12_violations(E: LineBundleSum) -> ViolationReport:
     """Hypothesis check with every axis capped at excess 2; needs all n_k >= 2."""
-    if any(n < 2 for n in E.shape.dims):
-        raise HypothesisDomainError("excess-2 criterion needs every factor of dimension >= 2")
+    _require_excess_shape(E.shape)
     return _criterion_violations(E, (2,) * E.shape.s)
 
 
 def _check_caps(shape: Shape, r) -> tuple[int, ...]:
+    if r is None:
+        raise InputError("E_USAGE", "criterion thm13 needs a cap vector r")
     r = _check_vector(shape, r, "cap vector r")
     for cap, n in zip(r, shape.dims):
         if not 0 <= cap <= n:
@@ -318,55 +325,40 @@ class AuditReport:
             "concl_only": self.concl_only,
             "neither": self.neither,
             "mismatches": [
-                {
-                    "bundle": json.loads(bundle_to_json(E)),
-                    "hypothesis": hyp,
-                    "conclusion": concl,
-                }
+                {"bundle": bundle_to_doc(E), "hypothesis": hyp, "conclusion": concl}
                 for E, hyp, concl in self.mismatches
             ],
         }
 
 
-def _validate_audit(shape: Shape, criterion: str, r):
-    if criterion == "thm12":
-        if any(n < 2 for n in shape.dims):
-            raise HypothesisDomainError("excess-2 criterion needs every factor of dimension >= 2")
-        if r is not None:
-            raise InputError("E_USAGE", "caps r only apply to criterion thm13")
-        return None
-    if criterion == "thm13":
-        if r is None:
-            raise InputError("E_USAGE", "criterion thm13 needs a cap vector r")
-        return _check_caps(shape, r)
-    if criterion == "lemma14":
-        if r is not None:
-            raise InputError("E_USAGE", "caps r only apply to criterion thm13")
-        _require_power_shape(shape)
-        return None
-    raise InputError("E_USAGE", f"unknown criterion {criterion!r}")
+def _no_caps(r) -> None:
+    if r is not None:
+        raise InputError("E_USAGE", "caps r only apply to criterion thm13")
 
 
-def _evaluate(E: LineBundleSum, criterion: str, r) -> tuple[bool, bool]:
-    if criterion == "thm12":
-        return (thm12_violations(E).empty, thm12_conclusion_match(E).matched)
-    if criterion == "thm13":
-        return (thm13_violations(E, r).empty, thm13_conclusion_match(E, r).matched)
-    return (lemma14_check(E).conditions_hold, lemma14_conclusion_match(E)[0])
+def _thm12_domain(shape: Shape, r) -> None:
+    _require_excess_shape(shape)
+    _no_caps(r)
 
 
-def _audit_task(args) -> tuple[int, list]:
-    shape, criterion, r, degrees, rho, first = args
-    cells = [0, 0, 0, 0]
-    mismatches = []
-    head = degrees[first]
-    for combo in combinations_with_replacement(degrees[first:], rho - 1):
-        E = LineBundleSum(shape, tuple((d, 1) for d in (head,) + combo))
-        hyp, concl = _evaluate(E, criterion, r)
-        cells[(not hyp) * 2 + (not concl)] += 1
-        if hyp != concl:
-            mismatches.append((E, hyp, concl))
-    return (cells, mismatches)
+def _lemma14_domain(shape: Shape, r) -> None:
+    _no_caps(r)
+    _require_power_shape(shape)
+
+
+# criterion -> (domain and caps check returning the caps, hypothesis, conclusion).  The
+# lambdas look the checks up at call time, so wrappers installed on the module see each one.
+_CRITERIA = {
+    "thm12": (_thm12_domain,
+              lambda E, r: thm12_violations(E).empty,
+              lambda E, r: thm12_conclusion_match(E).matched),
+    "thm13": (_check_caps,
+              lambda E, r: thm13_violations(E, r).empty,
+              lambda E, r: thm13_conclusion_match(E, r).matched),
+    "lemma14": (_lemma14_domain,
+                lambda E, r: lemma14_check(E).conditions_hold,
+                lambda E, r: lemma14_conclusion_match(E)[0]),
+}
 
 
 def desk_scale_audit(
@@ -379,46 +371,51 @@ def desk_scale_audit(
 ) -> AuditReport:
     """Cross-tabulate a criterion over every canonical bundle in a box.
 
-    Enumerates all canonical LineBundleSums with summand degrees in
-    [-bound, bound]^s and rank <= max_rank (multisets of degrees, so each
-    bundle appears exactly once), evaluates hypothesis and conclusion for
-    each, and reports the 2x2 counts plus every bundle where the two
-    disagree.  Refuses enumerations beyond 10^7 candidates.  jobs > 1
-    partitions the enumeration; the merge is associative, so the report
-    does not depend on jobs.
+    Covers all canonical LineBundleSums with summand degrees in
+    [-bound, bound]^s and rank <= max_rank (each multiset of degrees once)
+    and reports the 2x2 counts of hypothesis against conclusion plus every
+    bundle where they disagree, by rank, then in sorted order.  Both sides
+    are ANDs over the summands: each degree is evaluated once on O(a), the
+    counts are multiset binomials over the four (hypothesis, conclusion)
+    classes, and only mismatches are built.  Refuses boxes beyond 10^7
+    candidates.  jobs is accepted for compatibility and has no effect.
     """
     shape = _as_shape(shape)
     if bound < 0 or max_rank < 1:
         raise InputError("E_RANGE", "need bound >= 0 and max_rank >= 1")
-    r = _validate_audit(shape, criterion, r)
-    n_degrees = (2 * bound + 1) ** shape.s
-    candidates = sum(comb(n_degrees + rho - 1, rho) for rho in range(1, max_rank + 1))
+    if criterion not in _CRITERIA:
+        raise InputError("E_USAGE", f"unknown criterion {criterion!r}")
+    domain, hypothesis, conclusion = _CRITERIA[criterion]
+    r = domain(shape, r)
+    ranks = range(1, max_rank + 1)
+
+    def multisets(n: int) -> int:
+        """Multisets of size 1 .. max_rank drawn from n degrees."""
+        return sum(comb(n + rho - 1, rho) for rho in ranks)
+
+    candidates = multisets((2 * bound + 1) ** shape.s)
     if candidates > AUDIT_GUARD:
         raise AuditGuardError(
             f"{candidates} candidate bundles exceed the desk-scale guard of {AUDIT_GUARD}"
         )
-    degrees = tuple(sorted(product(range(-bound, bound + 1), repeat=shape.s)))
-    tasks = [
-        (shape, criterion, r, degrees, rho, first)
-        for rho in range(1, max_rank + 1)
-        for first in range(len(degrees))
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_audit_task, tasks, chunksize=8))
-    else:
-        results = [_audit_task(t) for t in tasks]
-    cells = [0, 0, 0, 0]
+    # product yields the degrees in lexicographic order, as canonical bundles sort them.
+    flags = {}
+    for a in product(range(-bound, bound + 1), repeat=shape.s):
+        E = LineBundleSum(shape, ((a, 1),))
+        flags[a] = (hypothesis(E, r), conclusion(E, r))
+    both = multisets(sum(h and c for h, c in flags.values()))
+    hyp_only = multisets(sum(h for h, _ in flags.values())) - both
+    concl_only = multisets(sum(c for _, c in flags.values())) - both
     mismatches = []
-    for task_cells, task_mismatches in results:
-        for idx in range(4):
-            cells[idx] += task_cells[idx]
-        mismatches.extend(task_mismatches)
-    return AuditReport(
-        total=sum(cells),
-        both=cells[0],
-        hyp_only=cells[1],
-        concl_only=cells[2],
-        neither=cells[3],
-        mismatches=tuple(mismatches),
-    )
+    if hyp_only + concl_only:
+        # A degree where neither side holds makes both false, so it is in no mismatch.
+        live = [a for a, (h, c) in flags.items() if h or c]
+        for rho in ranks:
+            for combo in combinations_with_replacement(live, rho):
+                hyp = all(flags[a][0] for a in combo)
+                concl = all(flags[a][1] for a in combo)
+                if hyp != concl:
+                    E = LineBundleSum(shape, tuple((a, 1) for a in combo))
+                    mismatches.append((E, hyp, concl))
+    neither = candidates - both - hyp_only - concl_only
+    return AuditReport(candidates, both, hyp_only, concl_only, neither, tuple(mismatches))

@@ -22,6 +22,7 @@ from .core import (
     _as_shape,
     _check_vector,
     _chi_raw,
+    bundle_to_doc,
     dualizing_degree,
     kunneth_dim,
     line_bundle,
@@ -43,10 +44,7 @@ class Complex:
     def to_json(self) -> dict:
         return {
             "shape": list(self.shape.dims),
-            "terms": [
-                [{"degree": list(d), "mult": m} for d, m in term.summands]
-                for term in self.terms
-            ],
+            "terms": [bundle_to_doc(term)["summands"] for term in self.terms],
         }
 
 

@@ -4,7 +4,9 @@ Everything here recomputes expected values by routes independent of the
 package internals: monomial counts come from explicit recursion instead
 of binomial coefficients, total cohomology is assembled by summing over
 per-factor degree splittings instead of subset masks, and Euler
-characteristics are taken as literal alternating sums over all t.
+characteristics are taken as literal alternating sums over all t.  The
+audit oracle builds and checks every bundle of the box whole, instead of
+classifying summand degrees and counting.
 """
 
 from __future__ import annotations
@@ -14,7 +16,19 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from multicoh import LineBundleSum, line_bundle, sum_cohomology_dim
+from multicoh import (
+    AuditReport,
+    LineBundleSum,
+    Shape,
+    lemma14_check,
+    lemma14_conclusion_match,
+    line_bundle,
+    sum_cohomology_dim,
+    thm12_conclusion_match,
+    thm12_violations,
+    thm13_conclusion_match,
+    thm13_violations,
+)
 
 
 @lru_cache(maxsize=None)
@@ -106,6 +120,35 @@ def compositions(total: int) -> list[tuple[int, ...]]:
     for first in range(1, total + 1):
         out.extend((first,) + rest for rest in compositions(total - first))
     return out
+
+
+def criterion_sides(E: LineBundleSum, criterion: str, r=None) -> tuple[bool, bool]:
+    """(hypothesis holds, conclusion holds) for one whole bundle."""
+    if criterion == "thm12":
+        return (thm12_violations(E).empty, thm12_conclusion_match(E).matched)
+    if criterion == "thm13":
+        return (thm13_violations(E, r).empty, thm13_conclusion_match(E, r).matched)
+    return (lemma14_check(E).conditions_hold, lemma14_conclusion_match(E)[0])
+
+
+def audit_oracle(shape, bound: int, max_rank: int, criterion: str, r=None) -> AuditReport:
+    """The desk-scale audit by brute force: every multiset of degrees, checked whole.
+
+    Bundles are visited by rank, then as sorted degree multisets, so the
+    mismatches come out in the order desk_scale_audit promises.
+    """
+    shape = Shape(tuple(shape))
+    degrees = sorted(itertools.product(range(-bound, bound + 1), repeat=shape.s))
+    cells = [0, 0, 0, 0]
+    mismatches = []
+    for rho in range(1, max_rank + 1):
+        for combo in itertools.combinations_with_replacement(degrees, rho):
+            E = LineBundleSum(shape, tuple((d, 1) for d in combo))
+            hyp, concl = criterion_sides(E, criterion, r)
+            cells[(not hyp) * 2 + (not concl)] += 1
+            if hyp != concl:
+                mismatches.append((E, hyp, concl))
+    return AuditReport(sum(cells), *cells, mismatches=tuple(mismatches))
 
 
 # hypothesis strategies

@@ -27,7 +27,7 @@ from multicoh import (
     twist,
 )
 
-from support import bundles_st
+from support import audit_oracle, bundles_st, criterion_sides
 
 
 def bundle(shape, *degrees):
@@ -318,3 +318,46 @@ def test_audit_totals_match_multiset_count():
     # 9 degrees in [-1,1]^2: multisets of size 1 and 2 -> 9 + 45
     report = desk_scale_audit((2, 2), 1, 2, "thm12")
     assert report.total == 54
+
+
+@pytest.mark.parametrize(
+    "criterion, shape, bound, max_rank, r",
+    [("thm12", (2, 2, 2), 1, 3, None)]
+    + [("thm13", (2, 3), 1, 2, r) for r in itertools.product(range(3), range(4))]
+    + [("lemma14", (1, 1, 1), 2, 2, None), ("lemma14", (1, 1), 3, 3, None)],
+)
+def test_audit_matches_brute_force_oracle(criterion, shape, bound, max_rank, r):
+    report = desk_scale_audit(shape, bound, max_rank, criterion, r=r)
+    assert report == audit_oracle(shape, bound, max_rank, criterion, r)
+    if (criterion, shape) == ("lemma14", (1, 1, 1)):
+        assert report.hyp_only == len(report.mismatches) == 3105
+
+
+@st.composite
+def criterion_pairs_st(draw):
+    """A criterion, caps where it takes them, and two bundles on a shape in its domain."""
+    criterion = draw(st.sampled_from(["thm12", "thm13", "lemma14"]))
+    s = draw(st.integers(1, 3))
+    if criterion == "lemma14":
+        dims = (draw(st.integers(1, 2)),) * max(s, 2)
+    else:
+        low = 2 if criterion == "thm12" else 1
+        dims = tuple(draw(st.integers(low, 3)) for _ in range(s))
+    r = tuple(draw(st.integers(0, n)) for n in dims) if criterion == "thm13" else None
+
+    def draw_bundle():
+        rank = draw(st.integers(1, 2))
+        return bundle(dims, *[tuple(draw(st.integers(-4, 4)) for _ in dims)
+                              for _ in range(rank)])
+
+    return criterion, r, draw_bundle(), draw_bundle()
+
+
+@settings(max_examples=100, deadline=None)
+@given(criterion_pairs_st())
+def test_criterion_sides_are_additive_over_summands(case):
+    # desk_scale_audit classifies summand degrees once on the strength of this identity.
+    criterion, r, E, F = case
+    hyp_e, concl_e = criterion_sides(E, criterion, r)
+    hyp_f, concl_f = criterion_sides(F, criterion, r)
+    assert criterion_sides(E + F, criterion, r) == (hyp_e and hyp_f, concl_e and concl_f)
