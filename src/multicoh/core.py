@@ -11,17 +11,20 @@ Every dimension is computed from the one-factor rule
                          C(-a-1, n)  if q == n and a <= -n-1,
                          0           otherwise,
 
-combined across factors by the Kunneth formula, so a line bundle on the
-product has cohomology concentrated in the degrees sum(n_i, i in S) where
-S runs over the "negative" factors.  All arithmetic is exact (Python
+combined across factors by the Kunneth formula.  Each factor is in one
+of three states: sections (a_i >= 0), top (a_i <= -n_i-1) or dead.  One
+dead factor kills every Kunneth term, and otherwise exactly one term
+survives, so O(a) has cohomology in the single degree sum(n_i over the
+top factors) or in none.  Along a diagonal ray O(a + tau*(1,...,1)) a
+factor is top, then dead on its band -a_i-n_i <= tau <= -a_i-1, then in
+sections, so walking the sorted dead bands splits the ray into at most
+s+1 pieces of constant degree.  All arithmetic is exact (Python
 integers); nothing here floats.
 """
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
-from math import comb, factorial
+from math import comb
 
 from .intervals import IntervalSet
 
@@ -148,101 +151,74 @@ def factor_cohomology_dim(n: int, a: int, q: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
-def _subsets_by_weight(shape: Shape) -> dict[int, tuple[int, ...]]:
-    """Bitmasks of factor subsets, grouped by the sum of their dimensions."""
-    out: dict[int, list[int]] = {}
-    dims = shape.dims
-    for size in range(shape.s + 1):
-        for idxs in combinations(range(shape.s), size):
-            mask = 0
-            weight = 0
-            for i in idxs:
-                mask |= 1 << i
-                weight += dims[i]
-            out.setdefault(weight, []).append(mask)
-    return {w: tuple(masks) for w, masks in out.items()}
+def _line_cohomology(dims, a) -> tuple[int, int]:
+    """(t, dim): the one degree t where O(a) can have cohomology, and dim H^t there.
+
+    Sections factors contribute C(a_i+n_i, n_i) in degree 0, top factors
+    C(-a_i-1, n_i) in degree n_i, and a dead factor makes dim 0.
+    """
+    t = 0
+    dim = 1
+    for n, x in zip(dims, a):
+        if x >= 0:
+            dim *= comb(x + n, n)
+        elif x <= -n - 1:
+            dim *= comb(-x - 1, n)
+            t += n
+        else:
+            return (0, 0)
+    return (t, dim)
 
 
 def kunneth_dim(shape, a, t: int) -> int:
     """dim H^t of O(a) on the product, via the Kunneth formula.
 
-    Sums, over subsets S of factors with total dimension t, the product of
-    top cohomology on the factors in S and sections on the rest.  Equals
-    the composition of factor_cohomology_dim over factor degree splittings
-    (each factor only contributes at q = 0 or q = n_i).
+    A factor with a_i >= 0 has only sections, one with a_i <= -n_i-1 only
+    top cohomology, and any other factor none, so at most one Kunneth
+    term is nonzero: the product of the factor dimensions, in degree
+    t = sum(n_i over the top factors).  Every other t gives 0.
     """
     shape = _as_shape(shape)
-    a = _check_vector(shape, a, "degree")
-    masks = _subsets_by_weight(shape).get(t)
-    if not masks:
-        return 0
-    dims = shape.dims
+    q, dim = _line_cohomology(shape.dims, _check_vector(shape, a, "degree"))
+    return dim if q == t else 0
+
+
+def _sum_dim(E: LineBundleSum, d, t: int) -> int:
+    """dim H^t(E(d)) for a twist d already checked against E.shape."""
+    dims = E.shape.dims
     total = 0
-    for mask in masks:
-        prod = 1
-        for i, n in enumerate(dims):
-            ai = a[i]
-            if (mask >> i) & 1:
-                if ai <= -n - 1:
-                    prod *= comb(-ai - 1, n)
-                else:
-                    prod = 0
-                    break
-            else:
-                if ai >= 0:
-                    prod *= comb(ai + n, n)
-                else:
-                    prod = 0
-                    break
-        total += prod
+    for degree, mult in E.summands:
+        q, dim = _line_cohomology(dims, [a + x for a, x in zip(degree, d)])
+        if q == t:
+            total += mult * dim
     return total
 
 
 def sum_cohomology_dim(E: LineBundleSum, d, t: int) -> int:
     """dim H^t(E(d)) for a twist vector d."""
-    d = _check_vector(E.shape, d, "twist")
-    total = 0
-    for degree, mult in E.summands:
-        total += mult * kunneth_dim(E.shape, tuple(x + y for x, y in zip(degree, d)), t)
-    return total
-
-
-_BP_CACHE: dict[tuple[int, int], int] = {}
+    return _sum_dim(E, _check_vector(E.shape, d, "twist"), t)
 
 
 def binom_poly(x: int, n: int) -> int:
     """Polynomial binomial coefficient x(x-1)...(x-n+1)/n!, any integer x.
 
-    Agrees with C(x, n) for x >= 0 and extends it polynomially to x < 0;
-    used for Euler characteristics, where the combinatorial convention
-    "negative means zero" does not apply.
+    Agrees with C(x, n) for x >= 0 and extends it polynomially to x < 0,
+    where it equals (-1)^n C(n-1-x, n); used for Euler characteristics,
+    where the combinatorial convention "negative means zero" does not apply.
     """
-    v = _BP_CACHE.get((x, n))
-    if v is None:
-        num = 1
-        for i in range(n):
-            num *= x - i
-        v = num // factorial(n)
-        _BP_CACHE[(x, n)] = v
-    return v
+    return comb(x, n) if x >= 0 else (-1) ** n * comb(n - 1 - x, n)
 
 
 def _chi_raw(summands, dims, d) -> int:
     """Closed-form chi for validated inputs; the hot loop of exactness sweeps."""
-    cache = _BP_CACHE
     total = 0
     for degree, mult in summands:
-        prod = 1
+        prod = mult
         for a, w, n in zip(degree, d, dims):
-            key = (a + w + n, n)
-            v = cache.get(key)
-            if v is None:
-                v = binom_poly(*key)
-            prod *= v
+            prod *= binom_poly(a + w + n, n)
             if prod == 0:
                 break
-        total += mult * prod
+        total += prod
     return total
 
 
@@ -305,39 +281,41 @@ def restrict_factor(E: LineBundleSum, axis: int) -> LineBundleSum:
 def nonvanishing_twist_intervals(E: LineBundleSum, j, t: int) -> IntervalSet:
     """Exact set of integers tau with H^t(E(j + tau*(1,...,1))) != 0.
 
-    For each summand O(a) and each factor subset S of total dimension t,
-    the Kunneth term is nonzero exactly on the closed interval
-
-        max over i not in S of (-a_i - j_i)  <=  tau  <=
-        min over i in S of (-a_i - j_i - n_i - 1),
-
-    and the answer is the union of these intervals.  At t = 0 the subset
-    is empty and the result is a half line unbounded above; at
-    t = total_dim it is a half line unbounded below.  Half lines are kept
-    explicit as intervals with a None endpoint, never truncated.
+    The union of the degree-t pieces of the breakpoint walk (_ray_pieces)
+    over the summands.  At t = 0 the result is a half line unbounded
+    above; at t = total_dim a half line unbounded below.  Half lines are
+    kept explicit as intervals with a None endpoint, never truncated.
     """
     shape = E.shape
     j = _check_vector(shape, j, "twist")
     if not 0 <= t <= shape.total_dim:
         raise InputError("E_RANGE", f"cohomological degree {t} outside [0, {shape.total_dim}]")
-    masks = _subsets_by_weight(shape).get(t, ())
-    dims = shape.dims
-    parts = []
+    return IntervalSet(tuple((lo, hi) for q, lo, hi in _ray_pieces(E, j) if q == t))
+
+
+def _ray_pieces(E: LineBundleSum, j) -> list[tuple[int, int | None, int | None]]:
+    """Every (t, lo, hi) where a summand of E(j + tau*(1,...,1)) has H^t != 0.
+
+    With b_i = -a_i - j_i, factor i of O(a) is top for tau <= b_i-n_i-1,
+    dead on the band [b_i-n_i, b_i-1] and in sections for tau >= b_i.
+    Between consecutive dead bands no factor is dead, the factors whose
+    band lies ahead are top, and the degree is the sum of their n_i; it
+    falls from total_dim on the first piece (lo None) to 0 on the last
+    (hi None).  Pieces of one summand are nonempty and never adjacent.
+    """
+    dims = E.shape.dims
+    total = E.shape.total_dim
+    pieces = []
     for degree, _ in E.summands:
-        base = tuple(-a - x for a, x in zip(degree, j))
-        for mask in masks:
-            lo: int | None = None
-            hi: int | None = None
-            for i, n in enumerate(dims):
-                if (mask >> i) & 1:
-                    cand = base[i] - n - 1
-                    if hi is None or cand < hi:
-                        hi = cand
-                else:
-                    if lo is None or base[i] > lo:
-                        lo = base[i]
-            parts.append((lo, hi))
-    return IntervalSet(tuple(parts))
+        t = total
+        cursor = None  # the first tau past every band walked so far
+        for lo, hi, n in sorted((-a - x - n, -a - x - 1, n) for a, x, n in zip(degree, j, dims)):
+            if cursor is None or lo > cursor:
+                pieces.append((t, cursor, lo - 1))
+            t -= n
+            cursor = hi + 1 if cursor is None else max(cursor, hi + 1)
+        pieces.append((0, cursor, None))
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -362,10 +340,12 @@ def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
     shape = E.shape
     rows = []
     for d in _box(shape.s, bound):
-        for t in range(shape.total_dim + 1):
-            dim = sum_cohomology_dim(E, d, t)
+        by_degree: dict[int, int] = {}
+        for degree, mult in E.summands:
+            t, dim = _line_cohomology(shape.dims, [a + x for a, x in zip(degree, d)])
             if dim:
-                rows.append((t, d, dim))
+                by_degree[t] = by_degree.get(t, 0) + mult * dim
+        rows.extend((t, d, dim) for t, dim in by_degree.items())
     rows.sort()
     return CohomologyTable(shape, tuple(rows))
 

@@ -43,12 +43,14 @@ from .core import (
     Shape,
     _as_shape,
     _check_vector,
+    _ray_pieces,
+    _sum_dim,
     bundle_to_doc,
-    nonvanishing_twist_intervals,
-    sum_cohomology_dim,
 )
 
 AUDIT_GUARD = 10_000_000
+# Mismatch rows an audit may list; each becomes a bundle and a JSON document.
+LISTING_GUARD = 100_000
 
 
 class HypothesisDomainError(InputError):
@@ -124,17 +126,33 @@ class ViolationReport:
         return [{"i": i, "j": list(j), "t": t, "dim": dim} for i, j, t, dim in self.rows]
 
 
+def _ray_hits(E: LineBundleSum, j: Degree, degrees) -> list[tuple[int, int, int]]:
+    """(t, tau, dim) for every t in degrees and tau with dim H^t(E(j + tau*(1,...,1))) != 0.
+
+    Walks the ray once for all the degrees, which must lie strictly between
+    0 and dim X, where every piece of the walk is bounded.  Unordered.
+    """
+    hits = {
+        (t, tau)
+        for t, lo, hi in _ray_pieces(E, j)
+        if t in degrees
+        for tau in range(lo, hi + 1)
+    }
+    return [(t, tau, _sum_dim(E, [x + tau for x in j], t)) for t, tau in hits]
+
+
 def _criterion_violations(E: LineBundleSum, caps: tuple[int, ...]) -> ViolationReport:
     shape = E.shape
     skip = exceptional_tuples(shape, caps)
-    rows = []
+    degrees_on_ray: dict[Degree, list[int]] = {}
     for i, j in admissible_tuples(shape):
-        if (i, j) in skip:
-            continue
-        hits = nonvanishing_twist_intervals(E, j, i)
-        for t in hits.values():
-            d = tuple(x + t for x in j)
-            rows.append((i, j, t, sum_cohomology_dim(E, d, i)))
+        if (i, j) not in skip:
+            degrees_on_ray.setdefault(j, []).append(i)
+    rows = sorted(
+        (i, j, tau, dim)
+        for j, degrees in degrees_on_ray.items()
+        for i, tau, dim in _ray_hits(E, j, degrees)
+    )
     return ViolationReport(shape, tuple(rows))
 
 
@@ -281,24 +299,21 @@ def lemma14_check(E: LineBundleSum) -> Lemma14Report:
     (b) H^n(E(t, ..., t)) = 0 for every integer t.
 
     The j quantifier in (a) is split into gap patterns (normalized to
-    max j = 0) times a diagonal ray scanned by the interval engine.
+    max j = 0) times a diagonal ray.  Each ray is walked once for all its
+    degrees; the zero pattern's ray also carries degree n, which is (b).
     """
     shape = E.shape
     n = _require_power_shape(shape)
     s = shape.s
-    witnesses = []
-    patterns = [g for g in product(*[range(-n, 1)] * s) if max(g) == 0]
-    for t in range(1, s * n):
-        if t % n == 0:
-            continue
-        for g in patterns:
-            for tau in nonvanishing_twist_intervals(E, g, t).values():
-                d = tuple(x + tau for x in g)
-                witnesses.append(("a", t, g, tau, sum_cohomology_dim(E, d, t)))
     zero = (0,) * s
-    for tau in nonvanishing_twist_intervals(E, zero, n).values():
-        d = (tau,) * s
-        witnesses.append(("b", n, zero, tau, sum_cohomology_dim(E, d, n)))
+    off_diagonal = [t for t in range(1, s * n) if t % n]
+    witnesses = []
+    for g in product(*[range(-n, 1)] * s):
+        degrees = off_diagonal + [n] if g == zero else off_diagonal
+        if max(g) == 0 and degrees:
+            for t, tau, dim in _ray_hits(E, g, degrees):
+                witnesses.append(("a" if t % n else "b", t, g, tau, dim))
+    witnesses.sort()
     return Lemma14Report(not witnesses, tuple(witnesses), (s * n + 1,))
 
 
@@ -378,7 +393,8 @@ def desk_scale_audit(
     are ANDs over the summands: each degree is evaluated once on O(a), the
     counts are multiset binomials over the four (hypothesis, conclusion)
     classes, and only mismatches are built.  Refuses boxes beyond 10^7
-    candidates.  jobs is accepted for compatibility and has no effect.
+    candidates, and more than 10^5 mismatches before building any of them.
+    jobs is accepted for compatibility and has no effect.
     """
     shape = _as_shape(shape)
     if bound < 0 or max_rank < 1:
@@ -406,8 +422,11 @@ def desk_scale_audit(
     both = multisets(sum(h and c for h, c in flags.values()))
     hyp_only = multisets(sum(h for h, _ in flags.values())) - both
     concl_only = multisets(sum(c for _, c in flags.values())) - both
+    listed = hyp_only + concl_only
+    if listed > LISTING_GUARD:
+        raise AuditGuardError(f"{listed} mismatch rows exceed the listing guard of {LISTING_GUARD}")
     mismatches = []
-    if hyp_only + concl_only:
+    if listed:
         # A degree where neither side holds makes both false, so it is in no mismatch.
         live = [a for a, (h, c) in flags.items() if h or c]
         for rho in ranks:

@@ -25,7 +25,6 @@ from .core import (
     bundle_to_doc,
     dualizing_degree,
     kunneth_dim,
-    line_bundle,
 )
 
 

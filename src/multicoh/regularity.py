@@ -7,8 +7,8 @@ comes down to a >= 0 componentwise, which gives the closed form for the
 regularity index used to seed the search.
 
 E is aCM here when H^i(E(t, ..., t)) vanishes for every 0 < i < dim and
-every integer t, decided exactly through the diagonal-twist interval
-engine.
+every integer t, decided exactly by one breakpoint walk of the diagonal
+ray: an intermediate degree lives on bounded pieces only.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +20,7 @@ from .core import (
     InputError,
     LineBundleSum,
     Shape,
-    nonvanishing_twist_intervals,
+    _ray_pieces,
     sum_cohomology_dim,
     twist,
 )
@@ -96,17 +96,16 @@ def is_globally_generated(E: LineBundleSum) -> bool:
 def is_acm(E: LineBundleSum) -> tuple[bool, tuple[tuple[int, int], ...]]:
     """Exact test for vanishing of all intermediate diagonal cohomology.
 
-    Returns (acm, witnesses); each witness is one (i, t) with
-    H^i(E(t, ..., t)) != 0 for an intermediate degree 0 < i < dim.
+    Returns (acm, witnesses); each witness is one (i, t), t the least
+    twist with H^i(E(t, ..., t)) != 0, for an intermediate degree 0 < i < dim.
     """
     shape = E.shape
-    zero = (0,) * shape.s
-    witnesses = []
-    for i in range(1, shape.total_dim):
-        hits = nonvanishing_twist_intervals(E, zero, i)
-        if hits:
-            witnesses.append((i, hits.parts[0][0]))
-    return (not witnesses, tuple(witnesses))
+    first: dict[int, int] = {}
+    for i, lo, _ in _ray_pieces(E, (0,) * shape.s):
+        if 0 < i < shape.total_dim:
+            first[i] = min(lo, first.get(i, lo))
+    witnesses = tuple(sorted(first.items()))
+    return (not witnesses, witnesses)
 
 
 def acm_closed_form(a, shape) -> bool:

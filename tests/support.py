@@ -3,7 +3,8 @@
 Everything here recomputes expected values by routes independent of the
 package internals: monomial counts come from explicit recursion instead
 of binomial coefficients, total cohomology is assembled by summing over
-per-factor degree splittings instead of subset masks, and Euler
+every per-factor degree splitting instead of reading off the one degree
+that the sections/top/dead state of each factor allows, and Euler
 characteristics are taken as literal alternating sums over all t.  The
 audit oracle builds and checks every bundle of the box whole, instead of
 classifying summand degrees and counting.

@@ -11,6 +11,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 from multicoh import (
     Shape,
     desk_scale_audit,
@@ -144,6 +146,7 @@ def test_criterion_04_acm_closed_form():
     ), bad[:5]
 
 
+@pytest.mark.slow
 def test_criterion_05_koszul_exactness_sweep():
     from support import all_shapes
 

@@ -225,6 +225,16 @@ def test_audit_guard_exit(capsys):
     assert code == 2 and err.startswith("E_GUARD:")
 
 
+def test_audit_listing_guard_exit(capsys):
+    code, out, err = run(
+        capsys, "audit", "--shape", "1,1,1", "--criterion", "lemma14",
+        "--bound", "3", "--max-rank", "3",
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("E_GUARD: 956790 mismatch rows") and "Traceback" not in err
+
+
 # --------------------------------------------------------------------- errors
 
 def test_malformed_bundle_json(capsys):

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from multicoh import (
     IntervalSet,
     LineBundleSum,
     Shape,
+    binom_poly,
     bundle_from_json,
     bundle_to_json,
     cohomology_table,
@@ -95,6 +98,30 @@ def test_kunneth_vs_splitting_oracle():
             assert kunneth_dim(shape, a, t) == kunneth_oracle(shape, a, t)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple), st.data())
+def test_kunneth_vs_splitting_oracle_drawn_shapes(dims, data):
+    a = tuple(data.draw(st.integers(-n - 3, 3), label="a_i") for n in dims)
+    for t in range(-1, sum(dims) + 2):
+        assert kunneth_dim(dims, a, t) == kunneth_oracle(dims, a, t)
+
+
+TWENTY_FACTORS = (1, 2, 1, 3, 1, 1, 2, 4, 1, 2, 1, 1, 3, 1, 2, 1, 1, 2, 1, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kunneth_vs_splitting_oracle_twenty_factors(data):
+    # Sections or top on every factor, so the product is not almost always dead.
+    a = tuple(
+        data.draw(st.one_of(st.integers(0, 3), st.integers(-n - 4, -n - 1)), label="a_i")
+        for n in TWENTY_FACTORS
+    )
+    dims = [kunneth_dim(TWENTY_FACTORS, a, t) for t in range(sum(TWENTY_FACTORS) + 1)]
+    assert dims == [kunneth_oracle(TWENTY_FACTORS, a, t) for t in range(len(dims))]
+    assert sum(1 for dim in dims if dim) == 1
+
+
 def test_kunneth_sections_vs_monomial_product():
     for shape in [(1,), (2,), (1, 1), (1, 2), (1, 1, 1)]:
         for a in itertools.product(range(-2, 5), repeat=len(shape)):
@@ -105,6 +132,15 @@ def test_kunneth_length_mismatch():
     with pytest.raises(InputError) as e:
         kunneth_dim([1, 1], (0,), 0)
     assert e.value.code == "E_SHAPE"
+
+
+def test_binom_poly_is_the_falling_factorial():
+    for n in range(1, 7):
+        for x in range(-50, 51):
+            falling = 1
+            for i in range(n):
+                falling *= x - i
+            assert binom_poly(x, n) == Fraction(falling, factorial(n))
 
 
 # ------------------------------------------------------------------ sum dims
@@ -254,11 +290,31 @@ def test_interval_t_range_check():
 def test_intervals_match_direct_scan(E, data):
     s = E.shape.s
     j = tuple(data.draw(st.integers(-3, 0), label="j") for _ in range(s))
-    t = data.draw(st.integers(0, E.shape.total_dim), label="t")
-    iset = nonvanishing_twist_intervals(E, j, t)
-    for tau in scan_window(E, j):
-        shifted = tuple(x + tau for x in j)
-        assert (tau in iset) == (sum_cohomology_dim(E, shifted, t) > 0)
+    for t in range(E.shape.total_dim + 1):
+        iset = nonvanishing_twist_intervals(E, j, t)
+        for tau in scan_window(E, j):
+            dim = sum(
+                mult * kunneth_oracle(E.shape.dims, [a + x + tau for a, x in zip(degree, j)], t)
+                for degree, mult in E.summands
+            )
+            assert (tau in iset) == (dim > 0)
+
+
+def _shift(parts, c):
+    return tuple(
+        (None if lo is None else lo + c, None if hi is None else hi + c) for lo, hi in parts
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundles_st(), st.integers(-20, 20), st.data())
+def test_intervals_twist_shift(E, c, data):
+    s = E.shape.s
+    j = tuple(data.draw(st.integers(-4, 4), label="j") for _ in range(s))
+    moved = tuple(x + c for x in j)
+    for t in range(E.shape.total_dim + 1):
+        got = nonvanishing_twist_intervals(E, moved, t).parts
+        assert got == _shift(nonvanishing_twist_intervals(E, j, t).parts, -c)
 
 
 # ------------------------------------------------------------------- tables
@@ -274,6 +330,22 @@ def test_cohomology_table():
         (1, (0, 0), 1),
         (1, (0, 1), 2),
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundles_st())
+def test_cohomology_table_matches_oracle(E):
+    dims = E.shape.dims
+    want = []
+    for d in itertools.product(range(-2, 3), repeat=len(dims)):
+        for t in range(sum(dims) + 1):
+            dim = sum(
+                mult * kunneth_oracle(dims, [a + x for a, x in zip(degree, d)], t)
+                for degree, mult in E.summands
+            )
+            if dim:
+                want.append((t, d, dim))
+    assert cohomology_table(E, 2).rows == tuple(sorted(want))
 
 
 # ---------------------------------------------------------------------- json

@@ -9,6 +9,7 @@ from multicoh import (
     AuditGuardError,
     HypothesisDomainError,
     InputError,
+    LineBundleSum,
     Shape,
     admissible_tuples,
     desk_scale_audit,
@@ -299,6 +300,26 @@ def test_audit_guard():
     with pytest.raises(AuditGuardError) as e:
         desk_scale_audit((2, 2), 30, 3, "thm12")
     assert e.value.code == "E_GUARD"
+
+
+def test_audit_listing_guard_refuses_before_building_mismatches(monkeypatch):
+    import multicoh.criteria as criteria
+
+    built = []
+
+    def counting(shape, summands):
+        built.append(len(summands))
+        return LineBundleSum(shape, summands)
+
+    monkeypatch.setattr(criteria, "LineBundleSum", counting)
+    # 6,843,879 candidates, under AUDIT_GUARD, but 956,790 hyp_only rows to list.
+    with pytest.raises(AuditGuardError) as e:
+        desk_scale_audit((1, 1, 1), 3, 3, "lemma14")
+    assert e.value.code == "E_GUARD"
+    assert str(e.value) == (
+        f"956790 mismatch rows exceed the listing guard of {criteria.LISTING_GUARD}"
+    )
+    assert built == [1] * 7 ** 3  # one line bundle per degree, no mismatch bundle
 
 
 def test_audit_usage_validation():
