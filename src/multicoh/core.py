@@ -78,9 +78,11 @@ def _as_shape(shape) -> Shape:
 
 def _check_vector(shape: Shape, v, what: str) -> Degree:
     v = tuple(v)
-    if len(v) != shape.s:
+    if len(v) != len(shape.dims):
         raise InputError("E_SHAPE", f"{what} has length {len(v)}, shape has {shape.s} factors")
     for x in v:
+        if type(x) is int:
+            continue
         if not isinstance(x, int) or isinstance(x, bool):
             raise InputError("E_SHAPE", f"{what} entries must be integers, got {x!r}")
     return v
@@ -209,19 +211,6 @@ def binom_poly(x: int, n: int) -> int:
     return comb(x, n) if x >= 0 else (-1) ** n * comb(n - 1 - x, n)
 
 
-def _chi_raw(summands, dims, d) -> int:
-    """Closed-form chi for validated inputs; the hot loop of exactness sweeps."""
-    total = 0
-    for degree, mult in summands:
-        prod = mult
-        for a, w, n in zip(degree, d, dims):
-            prod *= binom_poly(a + w + n, n)
-            if prod == 0:
-                break
-        total += prod
-    return total
-
-
 def euler_characteristic(E: LineBundleSum, d=None) -> int:
     """chi(E(d)) in closed form: sum of products of binom_poly per factor."""
     dims = E.shape.dims
@@ -229,7 +218,15 @@ def euler_characteristic(E: LineBundleSum, d=None) -> int:
         d = (0,) * len(dims)
     else:
         d = _check_vector(E.shape, d, "twist")
-    return _chi_raw(E.summands, dims, d)
+    total = 0
+    for degree, mult in E.summands:
+        prod = mult
+        for a, w, n in zip(degree, d, dims):
+            prod *= binom_poly(a + w + n, n)
+            if prod == 0:
+                break
+        total += prod
+    return total
 
 
 def twist(E: LineBundleSum, d) -> LineBundleSum:

@@ -6,6 +6,11 @@ with multiplicity C(n+1, r).  Exactness is certified here at the Euler
 characteristic level: the alternating sum of chi over the terms of an
 exact complex is zero for every extra twist.
 
+chi is a product over the axes, so the check sums each column of the
+signed degree multiset along one axis (for a factor complex, its own axis:
+an (n+1)-th finite difference of a degree-n polynomial) before multiplying
+by the other axes' values.
+
 The same resolutions identify each factor's one-dimensional corner
 cohomology H^{n_k} of O(-(n_k+1)*e_k) with the top cohomology of the
 dualizing sheaf and with H^0 of the structure sheaf; proposition_iso_dims
@@ -13,6 +18,7 @@ computes both sides of each identification.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .core import (
@@ -21,7 +27,7 @@ from .core import (
     Shape,
     _as_shape,
     _check_vector,
-    _chi_raw,
+    binom_poly,
     bundle_to_doc,
     dualizing_degree,
     kunneth_dim,
@@ -39,6 +45,24 @@ class Complex:
         for term in self.terms:
             if term.shape != self.shape:
                 raise InputError("E_SHAPE", "complex terms must share the complex shape")
+
+    @cached_property
+    def _columns(self):
+        """sum_r (-1)^r terms[r] as (k, columns), along the axis k with fewest columns.
+
+        Zero coefficients are dropped; a column lists the entries (a_k, c)
+        whose degrees agree off axis k, keyed by those other coordinates.
+        """
+        signed: dict = {}
+        for r, term in enumerate(self.terms):
+            for degree, mult in term.summands:
+                signed[degree] = signed.get(degree, 0) + (-1) ** r * mult
+        signed = {a: c for a, c in signed.items() if c}
+        k = min(range(self.shape.s), key=lambda i: len({a[:i] + a[i + 1:] for a in signed}))
+        columns: dict = {}
+        for a, c in signed.items():
+            columns.setdefault(a[:k] + a[k + 1:], []).append((a[k], c))
+        return k, tuple(columns.items())
 
     def to_json(self) -> dict:
         return {
@@ -66,17 +90,25 @@ def koszul_factor_complex(shape, axis: int, d) -> Complex:
 
 
 def euler_exactness_check(C: Complex, extra_twist=None) -> bool:
-    """Whether the alternating sum of chi(term(extra_twist)) vanishes."""
+    """Whether the alternating sum of chi(term(extra_twist)) vanishes.
+
+    Each column is summed along its axis (for a factor complex, a finite
+    difference); only a nonzero sum is multiplied by the other axes' values.
+    """
     dims = C.shape.dims
-    if extra_twist is None:
-        d = (0,) * len(dims)
-    else:
-        d = _check_vector(C.shape, extra_twist, "twist")
+    d = (0,) * len(dims) if extra_twist is None else _check_vector(C.shape, extra_twist, "twist")
+    k, columns = C._columns
+    n = dims[k]
+    x = d[k] + n
     total = 0
-    sign = 1
-    for term in C.terms:
-        total += sign * _chi_raw(term.summands, dims, d)
-        sign = -sign
+    for rest, entries in columns:
+        prod = 0
+        for a, c in entries:
+            prod += c * binom_poly(a + x, n)
+        if prod:
+            for a, w, m in zip(rest, d[:k] + d[k + 1:], dims[:k] + dims[k + 1:]):
+                prod *= binom_poly(a + w + m, m)
+            total += prod
     return total == 0
 
 

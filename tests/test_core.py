@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from enum import IntEnum
 from fractions import Fraction
 from math import factorial
 
@@ -10,8 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from multicoh import (
     InputError,
-    IntervalSet,
-    LineBundleSum,
     Shape,
     binom_poly,
     bundle_from_json,
@@ -37,7 +36,6 @@ from support import (
     h0_oracle,
     kunneth_oracle,
     scan_window,
-    shapes_st,
 )
 
 
@@ -219,6 +217,28 @@ def test_serre_duality_dimension_identity():
             dual_d = tuple(-x + w for x, w in zip(d, omega))
             rhs = sum_cohomology_dim(serre_dual(E), dual_d, total - t)
             assert lhs == rhs
+
+
+def test_vector_entries_accept_int_subclasses_and_refuse_bool_and_float():
+    class Level(IntEnum):
+        LOW = -1
+        HIGH = 2
+
+    assert kunneth_dim([1, 1], (Level.HIGH, 0), 0) == 3
+    assert euler_characteristic(line_bundle([1, 1], (Level.LOW, Level.HIGH)), (Level.HIGH, 0)) == 6
+    for bad in [True, False, 1.0, 2.5, "1", None]:
+        for call, what in [
+            (lambda v: kunneth_dim([1, 1], v, 0), "degree"),
+            (lambda v: line_bundle([1, 1], v), "degree"),
+            (lambda v: euler_characteristic(line_bundle([1, 1], (0, 0)), v), "twist"),
+        ]:
+            with pytest.raises(InputError) as e:
+                call((0, bad))
+            assert e.value.code == "E_SHAPE"
+            assert str(e.value) == f"{what} entries must be integers, got {bad!r}"
+    with pytest.raises(InputError) as e:
+        sum_cohomology_dim(line_bundle([1, 1], (0, 0)), (0, 0, 0), 0)
+    assert (e.value.code, str(e.value)) == ("E_SHAPE", "twist has length 3, shape has 2 factors")
 
 
 def test_shape_validation():

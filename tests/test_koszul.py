@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from multicoh import (
     Complex,
     InputError,
+    LineBundleSum,
     Shape,
     euler_exactness_check,
     koszul_factor_complex,
@@ -15,7 +16,7 @@ from multicoh import (
     proposition_iso_dims,
 )
 
-from support import all_shapes, shapes_st
+from support import all_shapes, euler_by_alternating_sum, shapes_st
 
 
 def test_terms_on_square():
@@ -83,3 +84,70 @@ def test_iso_dims_all_small_shapes():
 def test_complex_shape_consistency():
     with pytest.raises(InputError):
         Complex(Shape((1, 1)), (line_bundle([2], (0,)),))
+
+
+@st.composite
+def complexes_st(draw, dims, center):
+    """1-5 terms drawn from a pool of degrees near center, so degrees repeat and cancel.
+
+    The pool degrees differ from one base degree along one drawn axis, so
+    they share a column.  Each summand lands either alone (usually breaking
+    exactness) or with its copy in the next term (cancelling), and factor
+    complexes that fit are overlaid, so exact and non-exact complexes with
+    one or several columns all occur.
+    """
+    coord = [st.integers(c - 4, c + 4) for c in center]
+    degree = st.tuples(*coord)
+    base = draw(degree)
+    pool = [base]
+    i = draw(st.integers(0, len(dims) - 1))
+    for c in draw(st.lists(coord[i], max_size=2)):
+        pool.append(base[:i] + (c,) + base[i + 1:])
+    length = draw(st.integers(1, 5))
+    terms = [[] for _ in range(length)]
+    for axis in draw(st.lists(st.integers(0, len(dims) - 1), max_size=2)):
+        if dims[axis] + 2 <= length:
+            start = draw(st.integers(0, length - dims[axis] - 2))
+            for r, T in enumerate(koszul_factor_complex(dims, axis, draw(degree)).terms):
+                terms[start + r].extend(T.summands)
+    for r in range(length):
+        for _ in range(draw(st.integers(0 if terms[r] else 1, 2))):
+            piece = (draw(st.sampled_from(pool)), draw(st.integers(1, 3)))
+            terms[r].append(piece)
+            if r + 1 < length and draw(st.booleans()):
+                terms[r + 1].append(piece)
+    return Complex(Shape(dims), tuple(LineBundleSum(Shape(dims), tuple(T)) for T in terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes_st, st.data())
+def test_exactness_check_matches_alternating_cohomology_sum(dims, data):
+    """The column evaluation against sum_r (-1)^r sum_t (-1)^t h^t(T_r(w)).
+
+    Degrees are drawn near -w and every twist within 2 of w is checked, so
+    the terms' chi vanish or change sign there on every axis and a twist
+    applied on the wrong axis changes the verdict; one far twist is added.
+    """
+    w = data.draw(st.tuples(*[st.integers(-48, 48)] * len(dims)), label="w")
+    C = data.draw(complexes_st(dims, tuple(-x for x in w)), label="C")
+    far = data.draw(st.tuples(*[st.integers(-50, 50)] * len(dims)), label="far")
+    near = [tuple(map(sum, zip(w, e))) for e in itertools.product(range(-2, 3), repeat=len(dims))]
+    for v in near + [far]:
+        oracle = sum((-1) ** r * euler_by_alternating_sum(T, v) for r, T in enumerate(C.terms))
+        assert euler_exactness_check(C, v) == (oracle == 0), v
+
+
+def test_factor_complex_cache_leaves_equality_hash_and_repr_alone():
+    A = koszul_factor_complex([2, 1], 0, (3, -1))
+    B = koszul_factor_complex([2, 1], 0, (3, -1))
+    assert euler_exactness_check(A, (5, -7))
+    assert A == B and hash(A) == hash(B) and repr(A) == repr(B)
+    assert "_columns" not in repr(A) and "_columns" in vars(A)
+    assert A != koszul_factor_complex([2, 1], 1, (3, -1))
+
+
+def test_factor_complex_is_one_column_along_its_axis():
+    for dims in all_shapes(4):
+        for axis in range(len(dims)):
+            k, columns = koszul_factor_complex(dims, axis, (1,) * len(dims))._columns
+            assert k == axis and len(columns) == 1 and len(columns[0][1]) == dims[axis] + 2
