@@ -5,10 +5,15 @@ is deterministic: the same invocation always produces identical bytes.
 Exit codes: 0 on success, 1 when --strict is set and a violation or
 mismatch was found, 2 on invalid input (one-line CODE: message on
 stderr).
+
+`main` builds its parser once per process and reuses it on every call;
+`build_parser()` returns a new parser on every call.
 """
 
 import argparse
+import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -111,6 +116,8 @@ def _cmd_cohomology(args) -> int:
     columns = [("t", 0), ("twist", s), ("dim", 0)]
     if args.t is None and args.box is None:
         raise InputError("E_USAGE", "cohomology needs --t or --box")
+    if args.t is not None and args.box is not None:
+        raise InputError("E_USAGE", "--t and --box cannot be combined")
     if args.t is not None:
         d = _int_vector(args.twist, "--twist") if args.twist else (0,) * s
         dim = sum_cohomology_dim(E, d, args.t)
@@ -169,6 +176,8 @@ def _cmd_acm(args) -> int:
 def _cmd_koszul(args) -> int:
     shape = Shape(_int_vector(args.shape, "--shape"))
     if args.iso:
+        if args.factor is not None or args.d is not None:
+            raise InputError("E_USAGE", "--iso cannot be combined with --factor or --d")
         pairs = koszul.proposition_iso_dims(shape)
         if args.format == "json":
             print(_dump({"pairs": [list(p) for p in pairs]}))
@@ -253,7 +262,8 @@ def _cmd_audit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="multicoh", description=__doc__)
+    # the docstring's last paragraph is for callers of main, not for --help
+    parser = _Parser(prog="multicoh", description=(__doc__ or "").rpartition("\n\n")[0] or None)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_format(p):
@@ -312,14 +322,28 @@ _COMMANDS = {
 }
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _parser().parse_args(argv)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except InputError as e:
         print(f"{e.code}: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early; send the rest to devnull so the
+        # interpreter's flush at exit raises nothing
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no descriptor, e.g. a StringIO
+            return 1
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), fd)
+        return 1
 
 
 if __name__ == "__main__":

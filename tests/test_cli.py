@@ -1,10 +1,17 @@
 """Front-end behavior: output bytes, exit codes, error diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from multicoh.cli import emit_table, main
+from multicoh import cli
+from multicoh.cli import build_parser, emit_table, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 O22 = '{"shape":[2,2],"summands":[{"degree":[0,0],"mult":1}]}'
 O03 = '{"shape":[2,2],"summands":[{"degree":[0,3],"mult":1}]}'
@@ -12,7 +19,10 @@ CANONICAL = '{"shape":[2,2],"summands":[{"degree":[-3,-3],"mult":1}]}'
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse refusals and --help
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -111,6 +121,21 @@ def test_koszul_iso(capsys):
     code, out, _ = run(capsys, "koszul", "--shape", "2,2", "--iso")
     assert code == 0
     assert out == '{"pairs":[[1,1],[1,1],[1,1],[1,1]]}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--bundle", O22, "--t", "0", "--box", "1"],
+        ["koszul", "--shape", "2,2", "--iso", "--factor", "1"],
+        ["koszul", "--shape", "2,2", "--iso", "--d", "0,0"],
+    ],
+    ids=["t-with-box", "iso-with-factor", "iso-with-d"],
+)
+def test_conflicting_options_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("E_USAGE:")
 
 
 def test_koszul_bad_factor(capsys):
@@ -260,6 +285,67 @@ def test_identical_invocations_identical_bytes(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # about 300 KB of csv, far more than a pipe buffer holds
+    argv = [sys.executable, "-m", "multicoh.cli", "cohomology", "--bundle", O22,
+            "--box", "70", "--format", "csv"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"t,twist_1,twist_2,dim\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+
+
+# ------------------------------------------------------------- parser reuse
+
+REUSE_CORPUS = [
+    ["cohomology", "--bundle", CANONICAL, "--t", "4"],
+    ["cohomology", "--bundle", O03, "--t", "2", "--twist", "-3,-3", "--format", "table"],
+    ["cohomology", "--bundle", O22, "--box", "1", "--format", "csv"],
+    ["regularity", "--bundle", O22],
+    ["regularity", "--bundle", O03, "--m", "1,1", "--format", "table"],
+    ["regularity", "--bundle", CANONICAL, "--format", "csv"],
+    ["acm", "--bundle", O03, "--format", "table"],
+    ["koszul", "--shape", "2,2", "--factor", "1", "--format", "csv"],
+    ["koszul", "--shape", "2,2", "--iso", "--format", "table"],
+    ["check", "thm12", "--bundle", O03],
+    ["check", "thm13", "--bundle", O03, "--r", "1,1", "--format", "csv"],
+    ["check", "lemma14", "--bundle", O22, "--format", "table"],
+    ["check", "thm12", "--bundle", O03, "--strict"],
+    ["audit", "--shape", "2,2", "--criterion", "thm12", "--bound", "1", "--max-rank", "1"],
+    ["audit", "--shape", "1,1", "--criterion", "lemma14", "--bound", "1", "--max-rank", "2",
+     "--format", "table"],
+    ["--help"],
+    ["check", "--help"],
+    ["check", "nope", "--bundle", O22],
+    ["regularity"],
+    ["cohomology", "--bundle", "{oops", "--t", "0"],
+    ["koszul", "--shape", "2,2", "--factor", "3"],
+]
+
+
+def test_reused_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
+    reused = [run(capsys, *argv) for argv in REUSE_CORPUS + REUSE_CORPUS]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = [run(capsys, *argv) for argv in REUSE_CORPUS]
+    assert reused == fresh + fresh
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+
+def test_build_parser_returns_a_new_parser(capsys):
+    argv = ["--extra", "x", "regularity", "--bundle", O22]
+    before = [run(capsys, *argv), run(capsys, *argv[2:])]
+    assert build_parser() is not build_parser()
+    custom = build_parser()
+    custom.add_argument("--extra")
+    assert custom.parse_args(argv).extra == "x"
+    assert [run(capsys, *argv), run(capsys, *argv[2:])] == before
+    assert before[0][0] == 2 and before[1][0] == 0
 
 
 # ----------------------------------------------------------------- emit_table
