@@ -52,8 +52,8 @@ def _load_bundle(source: str) -> LineBundleSum:
     text = source.strip()
     if not text.startswith("{"):
         try:
-            text = Path(source).read_text()
-        except OSError as e:
+            text = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
             raise InputError("E_JSON", f"cannot read bundle file {source!r}: {e}")
     return bundle_from_json(text)
 

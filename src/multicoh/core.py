@@ -24,6 +24,7 @@ integers); nothing here floats.
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
 
 from .intervals import IntervalSet
@@ -336,7 +337,7 @@ def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
         raise InputError("E_RANGE", f"box bound must be >= 0, got {bound}")
     shape = E.shape
     rows = []
-    for d in _box(shape.s, bound):
+    for d in product(range(-bound, bound + 1), repeat=shape.s):
         by_degree: dict[int, int] = {}
         for degree, mult in E.summands:
             t, dim = _line_cohomology(shape.dims, [a + x for a, x in zip(degree, d)])
@@ -345,16 +346,6 @@ def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
         rows.extend((t, d, dim) for t, dim in by_degree.items())
     rows.sort()
     return CohomologyTable(shape, tuple(rows))
-
-
-def _box(s: int, bound: int):
-    """All integer vectors of length s with entries in [-bound, bound]."""
-    if s == 0:
-        yield ()
-        return
-    for rest in _box(s - 1, bound):
-        for x in range(-bound, bound + 1):
-            yield rest + (x,)
 
 
 def bundle_to_doc(E: LineBundleSum) -> dict:
@@ -375,7 +366,7 @@ def bundle_from_json(source) -> LineBundleSum:
     if isinstance(source, str):
         try:
             source = json.loads(source)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad syntax, too many digits, too deep
             raise InputError("E_JSON", f"malformed bundle JSON: {e}") from e
     if not isinstance(source, dict):
         raise InputError("E_JSON", "bundle JSON must be an object")

@@ -32,7 +32,6 @@ reports verbatim.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -67,7 +66,6 @@ class AuditGuardError(InputError):
         super().__init__("E_GUARD", message)
 
 
-@lru_cache(maxsize=None)
 def admissible_tuples(shape: Shape) -> tuple[tuple[int, Degree], ...]:
     """All (i, j) in the admissible region, sorted by (i, j)."""
     out = []
@@ -90,25 +88,31 @@ def is_admissible(shape, i: int, j) -> bool:
     return all(-n <= x <= 0 for x, n in zip(j, shape.dims))
 
 
-@lru_cache(maxsize=None)
+def _is_exceptional(dims: tuple[int, ...], caps: tuple[int, ...], i: int, j: Degree) -> bool:
+    """Whether (i, j) is exempt under the caps, by the rule of exceptional_tuples."""
+    total = sum(dims)
+    for k, (n, cap) in enumerate(zip(dims, caps)):
+        if cap < 1 or i != total - n:
+            continue
+        for l, m in enumerate(dims):
+            if l != k and j[l] - j[k] > cap - m - 1:
+                break
+        else:
+            return True
+    return False
+
+
 def exceptional_tuples(shape: Shape, caps: tuple[int, ...]) -> frozenset[tuple[int, Degree]]:
     """Admissible tuples where the allowed summand forms have cohomology.
 
     For axis k with cap_k >= 1 these sit at i = dim X - n_k, at twists j
     with j_l - j_k <= cap_k - n_l - 1 for all l != k.  Empty for an axis
-    with cap 0; monotone in the caps.
+    with cap 0; monotone in the caps.  The criteria apply the same rule to
+    each piece of each ray walk and never build this set.
     """
-    dims = shape.dims
-    total = shape.total_dim
-    out = set()
-    for i, j in admissible_tuples(shape):
-        for k, cap in enumerate(caps):
-            if cap < 1 or i != total - dims[k]:
-                continue
-            if all(j[l] - j[k] <= cap - dims[l] - 1 for l in range(len(dims)) if l != k):
-                out.add((i, j))
-                break
-    return frozenset(out)
+    return frozenset(
+        (i, j) for i, j in admissible_tuples(shape) if _is_exceptional(shape.dims, caps, i, j)
+    )
 
 
 @dataclass(frozen=True)
@@ -126,16 +130,17 @@ class ViolationReport:
         return [{"i": i, "j": list(j), "t": t, "dim": dim} for i, j, t, dim in self.rows]
 
 
-def _ray_hits(E: LineBundleSum, j: Degree, degrees) -> list[tuple[int, int, int]]:
-    """(t, tau, dim) for every t in degrees and tau with dim H^t(E(j + tau*(1,...,1))) != 0.
+def _ray_hits(E: LineBundleSum, j: Degree, keep) -> list[tuple[int, int, int]]:
+    """(t, tau, dim) for every t with keep(t, j) and tau with dim H^t(E(j + tau*(1,...,1))) != 0.
 
-    Walks the ray once for all the degrees, which must lie strictly between
-    0 and dim X, where every piece of the walk is bounded.  Unordered.
+    Walks the ray once for all the degrees.  Only the bounded pieces of the
+    walk are offered to keep, which are those of degree strictly between 0
+    and dim X.  Unordered.
     """
     hits = {
         (t, tau)
         for t, lo, hi in _ray_pieces(E, j)
-        if t in degrees
+        if lo is not None and hi is not None and keep(t, j)
         for tau in range(lo, hi + 1)
     }
     return [(t, tau, _sum_dim(E, [x + tau for x in j], t)) for t, tau in hits]
@@ -143,15 +148,16 @@ def _ray_hits(E: LineBundleSum, j: Degree, degrees) -> list[tuple[int, int, int]
 
 def _criterion_violations(E: LineBundleSum, caps: tuple[int, ...]) -> ViolationReport:
     shape = E.shape
-    skip = exceptional_tuples(shape, caps)
-    degrees_on_ray: dict[Degree, list[int]] = {}
-    for i, j in admissible_tuples(shape):
-        if (i, j) not in skip:
-            degrees_on_ray.setdefault(j, []).append(i)
+    dims = shape.dims
+
+    def keep(i: int, j: Degree) -> bool:
+        # admissible means max(1, -sum(j)) <= i < dim X; _ray_hits offers 0 < i < dim X only
+        return -sum(j) <= i and not _is_exceptional(dims, caps, i, j)
+
     rows = sorted(
         (i, j, tau, dim)
-        for j, degrees in degrees_on_ray.items()
-        for i, tau, dim in _ray_hits(E, j, degrees)
+        for j in product(*[range(-n, 1) for n in dims])
+        for i, tau, dim in _ray_hits(E, j, keep)
     )
     return ViolationReport(shape, tuple(rows))
 
@@ -306,12 +312,16 @@ def lemma14_check(E: LineBundleSum) -> Lemma14Report:
     n = _require_power_shape(shape)
     s = shape.s
     zero = (0,) * s
-    off_diagonal = [t for t in range(1, s * n) if t % n]
+
+    def keep(t: int, g: Degree) -> bool:
+        # _ray_hits offers 0 < t < sn only: (a) off the multiples of n, (b) at n on the zero pattern
+        return t % n != 0 or (t == n and g == zero)
+
     witnesses = []
     for g in product(*[range(-n, 1)] * s):
-        degrees = off_diagonal + [n] if g == zero else off_diagonal
-        if max(g) == 0 and degrees:
-            for t, tau, dim in _ray_hits(E, g, degrees):
+        # at n = 1 every degree is a multiple of n, so only the zero pattern carries one
+        if max(g) == 0 and (n > 1 or g == zero):
+            for t, tau, dim in _ray_hits(E, g, keep):
                 witnesses.append(("a" if t % n else "b", t, g, tau, dim))
     witnesses.sort()
     return Lemma14Report(not witnesses, tuple(witnesses), (s * n + 1,))

@@ -2,9 +2,10 @@
 
 A bundle E is 0-regular when H^t(E(j)) = 0 for every t >= 1 and every
 twist j with j_1 + ... + j_s = -t and -n_i <= j_i <= 0; it is m-regular
-when E(m) is 0-regular.  For sums of line bundles, 0-regularity of O(a)
-comes down to a >= 0 componentwise, which gives the closed form for the
-regularity index used to seed the search.
+when E(m) is 0-regular.  The 0-regularity test scans that box directly.
+For sums of line bundles, O(a) is 0-regular exactly when a >= 0
+componentwise and E is 0-regular exactly when every summand is, so the
+regularity index is a closed form and needs no scan at all.
 
 E is aCM here when H^i(E(t, ..., t)) vanishes for every 0 < i < dim and
 every integer t, decided exactly by one breakpoint walk of the diagonal
@@ -12,16 +13,15 @@ ray: an intermediate degree lives on bounded pieces only.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 
 from .core import (
     Degree,
-    InputError,
     LineBundleSum,
-    Shape,
+    _as_shape,
+    _check_vector,
     _ray_pieces,
-    sum_cohomology_dim,
+    _sum_dim,
     twist,
 )
 
@@ -43,25 +43,16 @@ class RegularityVerdict:
         }
 
 
-@lru_cache(maxsize=None)
-def _zero_regularity_region(shape: Shape) -> tuple[tuple[int, Degree], ...]:
-    """The finite region (t, j) with t >= 1, sum(j) = -t, -n_i <= j_i <= 0."""
-    region = []
-    for j in product(*[range(-n, 1) for n in shape.dims]):
+def is_zero_regular(E: LineBundleSum) -> RegularityVerdict:
+    """Scan the defining box; witnesses list every (t, j, dim) with H^t(E(j)) != 0, sorted."""
+    witnesses = []
+    for j in product(*[range(-n, 1) for n in E.shape.dims]):
         t = -sum(j)
         if t >= 1:
-            region.append((t, j))
-    region.sort()
-    return tuple(region)
-
-
-def is_zero_regular(E: LineBundleSum) -> RegularityVerdict:
-    """Scan the defining region; witnesses list every (t, j) with H^t(E(j)) != 0."""
-    witnesses = []
-    for t, j in _zero_regularity_region(E.shape):
-        dim = sum_cohomology_dim(E, j, t)
-        if dim:
-            witnesses.append((t, j, dim))
+            dim = _sum_dim(E, j, t)
+            if dim:
+                witnesses.append((t, j, dim))
+    witnesses.sort()
     return RegularityVerdict(not witnesses, tuple(witnesses))
 
 
@@ -71,21 +62,17 @@ def is_m_regular(E: LineBundleSum, m) -> RegularityVerdict:
 
 
 def regularity_index(E: LineBundleSum) -> int:
-    """Least p such that E(p, ..., p) is 0-regular.
+    """Least p such that E(p, ..., p) is 0-regular: max over summands and coordinates of -a_i.
 
-    For a sum of line bundles the closed form is max over summands and
-    coordinates of -a_i.  The value is still verified against the
-    definitional scan at p and p - 1, searching away from the seed if
-    either check disagrees.
+    O(a) is 0-regular exactly when a >= 0.  If a >= 0, every twist j of the
+    box has a_i + j_i >= -n_i, so no factor of O(a + j) is top and it has
+    no cohomology above degree 0.  If instead N = {i : a_i < 0} is not empty,
+    take j_i = -n_i on N and 0 elsewhere: the factors in N are top and the
+    others have sections, so H^t(O(a + j)) != 0 at t = -sum(j) >= 1.
+    Cohomology is additive over summands, so E(p, ..., p) is 0-regular
+    exactly when a_i + p >= 0 for every coordinate of every summand.
     """
-    s = E.shape.s
-    p = max(-a for degree, _ in E.summands for a in degree)
-    diag = lambda c: (c,) * s
-    while not is_m_regular(E, diag(p)).regular:
-        p += 1
-    while is_m_regular(E, diag(p - 1)).regular:
-        p -= 1
-    return p
+    return max(-a for degree, _ in E.summands for a in degree)
 
 
 def is_globally_generated(E: LineBundleSum) -> bool:
@@ -125,10 +112,8 @@ def acm_closed_form(a, shape) -> bool:
     than aCM (one factor's dead band can cover the window opened by the
     other two), so the coverage test is the form that stays exact.
     """
-    shape = shape if isinstance(shape, Shape) else Shape(tuple(shape))
-    a = tuple(a)
-    if len(a) != shape.s:
-        raise InputError("E_SHAPE", f"degree has length {len(a)}, shape has {shape.s} factors")
+    shape = _as_shape(shape)
+    a = _check_vector(shape, a, "degree")
     dims = shape.dims
     lo = min(-x for x in a)
     hi = max(-x - n - 1 for x, n in zip(a, dims))

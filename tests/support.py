@@ -7,7 +7,9 @@ every per-factor degree splitting instead of reading off the one degree
 that the sections/top/dead state of each factor allows, and Euler
 characteristics are taken as literal alternating sums over all t.  The
 audit oracle builds and checks every bundle of the box whole, instead of
-classifying summand degrees and counting.
+classifying summand degrees and counting.  The criterion oracle scans
+every admissible tuple outside the exceptional set over a window of
+diagonal twists, instead of walking the rays and filtering their pieces.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from multicoh import (
     AuditReport,
     LineBundleSum,
     Shape,
+    admissible_tuples,
+    exceptional_tuples,
     lemma14_check,
     lemma14_conclusion_match,
     line_bundle,
@@ -104,6 +108,24 @@ def scan_window(E: LineBundleSum, j) -> range:
             ends.append(-a - w)
             ends.append(-a - w - n - 1)
     return range(min(ends) - 2, max(ends) + 3)
+
+
+def criterion_rows_oracle(E: LineBundleSum, caps) -> tuple:
+    """The rows (i, j, t, dim) of a capped criterion, by scanning twists one by one.
+
+    Every admissible tuple outside the exceptional set is scanned over
+    scan_window(E, j), which holds every bounded piece of the ray.
+    """
+    skip = exceptional_tuples(E.shape, tuple(caps))
+    rows = []
+    for i, j in admissible_tuples(E.shape):
+        if (i, j) in skip:
+            continue
+        for t in scan_window(E, j):
+            dim = sum_cohomology_dim(E, [x + t for x in j], i)
+            if dim:
+                rows.append((i, j, t, dim))
+    return tuple(sorted(rows))
 
 
 def all_shapes(max_total: int):

@@ -1,12 +1,16 @@
 """Front-end behavior: output bytes, exit codes, error diagnostics."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multicoh import cli
 from multicoh.cli import build_parser, emit_table, main
@@ -272,6 +276,29 @@ def test_missing_bundle_file(capsys):
     assert code == 2 and err.startswith("E_JSON:")
 
 
+def test_non_utf8_bundle_file(capsys, tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_bytes(b'{"shape":[2],"summands":[{"degree":[0]}]}\xff')
+    code, out, err = run(capsys, "regularity", "--bundle", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("E_JSON: cannot read bundle file")
+
+
+def test_deeply_nested_bundle_json(capsys, tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text('{"shape":' + "[" * 200_000 + "]" * 200_000 + "}")
+    code, out, err = run(capsys, "regularity", "--bundle", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("E_JSON: malformed bundle JSON")
+
+
+def test_bundle_integer_past_the_digit_limit(capsys):
+    bundle = '{"shape":[2],"summands":[{"degree":[' + "9" * 4301 + "]}]}"
+    code, out, err = run(capsys, "cohomology", "--bundle", bundle, "--t", "0")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("E_JSON: malformed bundle JSON")
+
+
 def test_bundle_from_file(capsys, tmp_path):
     path = tmp_path / "bundle.json"
     path.write_text(O22)
@@ -376,3 +403,154 @@ def test_emit_table_alignment():
     rows = [{"i": 1, "dim": 100}, {"i": 20, "dim": 1}]
     out = emit_table(rows, [("i", 0), ("dim", 0)], "table")
     assert out.split("\n") == [" i  dim", " 1  100", "20    1"]
+
+
+# -------------------------------------------------------------------- fuzzing
+#
+# Shapes, boxes, audit bounds and ranks stay small, and the coordinates of a
+# degree stay within a few units of one shared offset: the CLI has no work
+# estimate yet, and a large shape, box, rank or gap between coordinates is
+# accepted and runs for as long as its size says.  Apart from the literals
+# that must be refused, numbers stay far below 4300 digits: a result past
+# Python's limit for turning an int into a string still ends in a ValueError.
+
+HUGE = [10**30, -(10**30), 2**64, -(2**63) - 1, 10**200]
+TOO_MANY_DIGITS = "9" * 4301
+DIAGNOSTIC = re.compile(r"E_[A-Z]+: [^\n]*\n")
+
+ints_st = st.one_of(st.integers(-3, 3), st.integers(), st.sampled_from(HUGE))
+junk_st = st.sampled_from([True, False, None, 0.5, -1.5, 1e300, "1", "", [1], {}])
+bad_token_st = st.sampled_from(["", ",", "1,,2", "a", "0.5", "True", "1e3", TOO_MANY_DIGITS])
+
+
+def deep(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+NINE_IN_TEN = st.sampled_from([True] * 9 + [False])
+
+
+def mostly(draw, good, bad):
+    """Draw from good nine times in ten, else from bad."""
+    return draw(good if draw(NINE_IN_TEN) else bad)
+
+
+@st.composite
+def bundle_json_st(draw):
+    """Bundle JSON text, mostly well formed."""
+    special = draw(st.sampled_from([None] * 12 + ["empty", "deep", "digits", "cut"]))
+    if special == "empty":
+        return draw(st.sampled_from(["{}", "", "[]", "null", "{", '{"shape":[],"summands":[]}']))
+    if special == "deep":
+        depth = draw(st.sampled_from([2, 500, 1000, 200_000]))
+        where = draw(st.sampled_from(['{"shape":%s,"summands":[]}', '{"shape":[1],"summands":%s}',
+                                      '{"shape":[1],"summands":[{"degree":%s}]}', '{"x":%s}']))
+        return where % deep(depth)
+    if special == "digits":
+        return '{"shape":[2],"summands":[{"degree":[%s],"mult":1}]}' % TOO_MANY_DIGITS
+    bad_dim = st.sampled_from([0, -1, -(10**30), True, 1.5, "2", None])
+    dims = [mostly(draw, st.integers(1, 3), bad_dim) for _ in range(draw(st.integers(1, 3)))]
+    offset = draw(ints_st)
+    summands = []
+    for _ in range(mostly(draw, st.integers(1, 3), st.just(0))):
+        length = mostly(draw, st.just(len(dims)), st.sampled_from([0, len(dims) + 1]))
+        degree = [mostly(draw, st.integers(-4, 4).map(lambda x: x + offset), junk_st)
+                  for _ in range(length)]
+        entry = {"degree": degree}
+        if draw(st.booleans()):
+            entry["mult"] = mostly(draw, st.integers(1, 3) | st.sampled_from(HUGE),
+                                   st.integers(-1, 0) | junk_st)
+        entry = mostly(draw, st.just(entry),
+                       st.sampled_from([{"mult": 1}, {"degree": degree, "extra": 1}, degree]))
+        summands.append(entry)
+    doc = {"shape": dims, "summands": summands}
+    doc = mostly(draw, st.just(doc), st.sampled_from([{"shape": dims}, {**doc, "extra": 0},
+                                                      summands, dims]))
+    text = json.dumps(doc)
+    return text[:-1] if special == "cut" else draw(st.sampled_from([text, " " + text]))
+
+
+@st.composite
+def vector_st(draw, small=False):
+    entries = st.lists(st.integers(1, 3) if small else ints_st, min_size=1, max_size=4)
+    return mostly(draw, entries.map(lambda v: ",".join(map(str, v))), bad_token_st)
+
+
+@st.composite
+def scalar_st(draw, values):
+    return str(mostly(draw, st.sampled_from(values), bad_token_st))
+
+
+BUNDLE_FILES = ["valid", "non_utf8", "deep", "directory", "missing"]
+REQUIRED = {"--bundle", "--shape", "--criterion", "--bound", "--max-rank"}
+RARE = {"--help", "--nope"}
+
+
+@st.composite
+def argv_st(draw):
+    """One CLI invocation, refused option pairs and bad values included."""
+    bundle = mostly(draw, bundle_json_st(), st.sampled_from(BUNDLE_FILES))
+    commands = ["cohomology", "regularity", "acm", "koszul", "check", "audit"]
+    command = draw(st.sampled_from(commands * 4 + ["nope", "--help"]))
+    argv = [command]
+    options = []
+    if command == "check":
+        argv.append(mostly(draw, st.sampled_from(["thm12", "thm13", "lemma14", "miyazaki"]),
+                           st.just("thm14")))
+    if command in ("cohomology", "regularity", "acm", "check"):
+        options.append(("--bundle", bundle))
+    if command == "cohomology":
+        options += [("--t", draw(scalar_st([-1, 0, 1, 2, 10**30]))),
+                    ("--box", draw(scalar_st([-1, 0, 1, 2, -(10**30)]))),
+                    ("--twist", draw(vector_st()))]
+    if command == "regularity":
+        options.append(("--m", draw(vector_st())))
+    if command in ("koszul", "audit"):
+        options.append(("--shape", draw(vector_st(small=True))))
+    if command == "koszul":
+        options += [("--factor", draw(scalar_st([0, 1, 2, 3, 10**30, -(10**30)]))),
+                    ("--d", draw(vector_st())), ("--iso", None)]
+    if command == "audit":
+        options += [("--criterion", mostly(draw, st.sampled_from(["thm12", "thm13", "lemma14"]),
+                                           st.just("x"))),
+                    ("--bound", draw(scalar_st([-1, 0, 1, 10**30, -(10**30)]))),
+                    ("--max-rank", draw(scalar_st([-1, 0, 1, 2, -(10**30)]))),
+                    ("--jobs", draw(scalar_st([1, 2, 10**30])))]
+    if command in ("check", "audit"):
+        options += [("--r", draw(vector_st())), ("--strict", None)]
+    if command != "--help":
+        options += [("--format", mostly(draw, st.sampled_from(["json", "csv", "table"]),
+                                        st.just("xml"))),
+                    ("--help", None), ("--nope", "1")]
+    for name, value in options:
+        # required options are usually present, the rest sometimes, help and typos seldom
+        if draw(st.sampled_from(range(10))) < (9 if name in REQUIRED else 1 if name in RARE else 4):
+            argv += [name] if value is None else [name, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def bundle_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bundles")
+    (root / "valid.json").write_text(O22)
+    (root / "non_utf8.json").write_bytes(b'{"shape":[2],"summands":[{"degree":[0]}]}\xff')
+    (root / "deep.json").write_text('{"shape":' + deep(200_000) + "}")
+    paths = {name: str(root / f"{name}.json") for name in BUNDLE_FILES}
+    paths["directory"] = str(root)
+    return paths
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv_st())
+def test_fuzzed_invocations_exit_cleanly(bundle_files, argv):
+    argv = [bundle_files.get(arg, arg) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refusals and --help
+            code = e.code
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert err == "" or DIAGNOSTIC.fullmatch(err), err[:300]
+    assert (code == 2) == bool(err)

@@ -28,7 +28,7 @@ from multicoh import (
     twist,
 )
 
-from support import audit_oracle, bundles_st, criterion_sides
+from support import audit_oracle, bundles_st, criterion_rows_oracle, criterion_sides
 
 
 def bundle(shape, *degrees):
@@ -114,6 +114,30 @@ def test_exceptional_tuples_are_exactly_allowed_form_hits():
                 if not nonvanishing_twist_intervals(E, j, i).is_empty:
                     hits.add((i, j))
     assert exceptional_tuples(shape, caps) == hits
+
+
+# ------------------------------------------------- criterion rows by scanning
+
+@st.composite
+def capped_cases_st(draw):
+    """thm12 or thm13, its caps, and a bundle of rank 1-3 on up to three factors."""
+    criterion = draw(st.sampled_from(["thm12", "thm13"]))
+    low = 2 if criterion == "thm12" else 1
+    dims = tuple(draw(st.lists(st.integers(low, 3), min_size=1, max_size=3)))
+    if criterion == "thm12":
+        caps = (2,) * len(dims)
+    else:
+        caps = tuple(draw(st.integers(0, n)) for n in dims)
+    degrees = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * len(dims)), min_size=1, max_size=3))
+    return criterion, caps, bundle(dims, *degrees)
+
+
+@settings(max_examples=150, deadline=None)
+@given(capped_cases_st())
+def test_criterion_rows_match_admissible_scan(case):
+    criterion, caps, E = case
+    report = thm12_violations(E) if criterion == "thm12" else thm13_violations(E, caps)
+    assert report.rows == criterion_rows_oracle(E, caps)
 
 
 # --------------------------------------------------------------- thm12 checker

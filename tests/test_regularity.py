@@ -21,17 +21,23 @@ from multicoh import (
     twist,
 )
 
-from support import bundles_st
+from support import bundles_st, kunneth_oracle
 
 
 def zero_regular_brute(E):
-    """Definitional check, written independently of the library's region cache."""
+    """Every (t, j, dim) of the definition, by degree, from the splitting oracle."""
     dims = E.shape.dims
+    witnesses = []
     for t in range(1, E.shape.total_dim + 1):
         for j in itertools.product(*[range(-n, 1) for n in dims]):
-            if sum(j) == -t and sum_cohomology_dim(E, j, t):
-                return False
-    return True
+            if sum(j) == -t:
+                dim = sum(
+                    mult * kunneth_oracle(dims, [a + x for a, x in zip(degree, j)], t)
+                    for degree, mult in E.summands
+                )
+                if dim:
+                    witnesses.append((t, j, dim))
+    return tuple(witnesses)
 
 
 def test_zero_regular_examples():
@@ -55,7 +61,17 @@ def test_zero_regular_vs_brute():
     for shape in [(1, 1), (1, 2)]:
         for a in itertools.product(range(-2, 3), repeat=2):
             E = line_bundle(shape, a)
-            assert is_zero_regular(E).regular == zero_regular_brute(E)
+            verdict = is_zero_regular(E)
+            assert verdict.witnesses == zero_regular_brute(E)
+            assert verdict.regular == (not verdict.witnesses)
+
+
+@settings(max_examples=80)
+@given(bundles_st())
+def test_zero_regular_witnesses_match_brute(E):
+    verdict = is_zero_regular(E)
+    assert verdict.witnesses == zero_regular_brute(E)
+    assert verdict.regular == (not verdict.witnesses)
 
 
 def test_is_m_regular_examples():
@@ -84,12 +100,13 @@ def test_regularity_index_examples():
     assert regularity_index(E) == 1
 
 
-def test_regularity_index_definitional():
-    for a in [(-2, 1), (0, 0), (3, 3), (-1, -4)]:
-        E = line_bundle([1, 2], a)
-        p = regularity_index(E)
-        assert is_m_regular(E, (p,) * 2).regular
-        assert not is_m_regular(E, (p - 1,) * 2).regular
+@settings(max_examples=80)
+@given(bundles_st())
+def test_regularity_index_definitional(E):
+    p = regularity_index(E)
+    s = E.shape.s
+    assert zero_regular_brute(twist(E, (p,) * s)) == ()
+    assert zero_regular_brute(twist(E, (p - 1,) * s)) != ()
 
 
 @settings(max_examples=40)
@@ -182,8 +199,15 @@ def test_acm_closed_form_examples():
     assert acm_closed_form((0, 0, 0), Shape((1, 1, 2)))
     assert acm_closed_form((0, 1), Shape((1, 2)))
     assert not acm_closed_form((0, 2), Shape((1, 2)))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as e:
         acm_closed_form((0,), Shape((1, 2)))
+    assert (e.value.code, str(e.value)) == ("E_SHAPE", "degree has length 1, shape has 2 factors")
+    for bad in [0.5, True, "1"]:
+        with pytest.raises(InputError) as e:
+            acm_closed_form((0, bad), (1, 2))
+        assert (e.value.code, str(e.value)) == (
+            "E_SHAPE", f"degree entries must be integers, got {bad!r}"
+        )
 
 
 def test_acm_closed_form_matches_is_acm():
