@@ -62,52 +62,30 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _flatten(row: dict, columns: list[tuple[str, int]]) -> list:
-    cells = []
-    for name, width in columns:
-        value = row[name]
-        if width:
-            cells.extend(value)
-        else:
-            cells.append(value)
-    return cells
+def emit_table(rows, columns: list[tuple[str, int]], fmt: str) -> str:
+    """Render rows, tuples in column order, deterministically.
 
-
-def _headers(columns: list[tuple[str, int]]) -> list[str]:
-    names = []
-    for name, width in columns:
-        if width:
-            names.extend(f"{name}_{k}" for k in range(1, width + 1))
-        else:
-            names.append(name)
-    return names
-
-
-def emit_table(rows: list[dict], columns: list[tuple[str, int]], fmt: str) -> str:
-    """Render rows deterministically.
-
-    columns lists (field, vector_width) pairs, vector_width 0 for scalar
-    fields.  json keeps vectors as arrays and yields one array document
-    (a single row still becomes a one-element array); csv flattens
-    vectors into field_1 ... field_s under a fixed header, emitted even
-    when there are no rows; table is an aligned human-readable layout.
-    Rows are sorted by their cell values, so insertion order never leaks
-    into the output.
+    columns lists (field, vector_width) pairs, vector_width 0 for a scalar
+    field; a vector field is a tuple of that width in every row.  json keeps
+    vectors as arrays in one array document, even for one row; csv flattens
+    them into field_1 ... field_s under a header that is there even with no
+    rows; table aligns the csv cells.  Rows are sorted as tuples, so input
+    order never shows; as each vector has one width, that is the order of
+    the flattened cells.
     """
-    rows = sorted(rows, key=lambda row: _flatten(row, columns))
+    rows = sorted(rows)
     if fmt == "json":
-        ordered = [{name: row[name] for name, _ in columns} for row in rows]
-        return _dump(ordered)
-    headers = _headers(columns)
+        names = [name for name, _ in columns]
+        return _dump([dict(zip(names, row)) for row in rows])
+    # a header and a format field per flattened cell: {i} for a scalar, {i[k]} for a vector entry
+    headers, fields = zip(*[(f"{name}_{k + 1}", f"{{{i}[{k}]}}") if width else (name, f"{{{i}}}")
+                            for i, (name, width) in enumerate(columns) for k in range(width or 1)])
     if fmt == "csv":
-        lines = [",".join(headers)]
-        for row in rows:
-            lines.append(",".join(str(cell) for cell in _flatten(row, columns)))
-        return "\n".join(lines)
-    cells = [headers] + [[str(c) for c in _flatten(row, columns)] for row in rows]
-    widths = [max(len(line[k]) for line in cells) for k in range(len(headers))]
-    lines = ["  ".join(text.rjust(w) for text, w in zip(line, widths)) for line in cells]
-    return "\n".join(lines)
+        line = ",".join(fields)
+        return "\n".join([",".join(headers)] + [line.format(*row) for row in rows])
+    lines = [headers] + [[field.format(*row) for field in fields] for row in rows]
+    sizes = [max(map(len, column)) for column in zip(*lines)]
+    return "\n".join(["  ".join(text.rjust(w) for text, w in zip(cells, sizes)) for cells in lines])
 
 
 def _cmd_cohomology(args) -> int:
@@ -120,11 +98,9 @@ def _cmd_cohomology(args) -> int:
         raise InputError("E_USAGE", "--t and --box cannot be combined")
     if args.t is not None:
         d = _int_vector(args.twist, "--twist") if args.twist else (0,) * s
-        dim = sum_cohomology_dim(E, d, args.t)
-        rows = [{"t": args.t, "twist": list(d), "dim": dim}]
+        rows = [(args.t, d, sum_cohomology_dim(E, d, args.t))]
     else:
-        table = cohomology_table(E, args.box)
-        rows = table.to_rows()
+        rows = cohomology_table(E, args.box).rows
     print(emit_table(rows, columns, args.format))
     return 0
 
@@ -143,12 +119,10 @@ def _cmd_regularity(args) -> int:
         print(_dump(doc))
     elif args.format == "csv":
         columns = [("t", 0), ("j", E.shape.s), ("dim", 0)]
-        rows = [{"t": t, "j": list(j), "dim": dim} for t, j, dim in verdict.witnesses]
-        print(emit_table(rows, columns, "csv"))
+        print(emit_table(verdict.witnesses, columns, "csv"))
     else:
         lines = [f"zero_regular: {verdict.regular}", f"reg_index: {doc['reg_index']}"]
-        for t, j, dim in verdict.witnesses:
-            lines.append(f"  nonzero H^{t} at j={list(j)} (dim {dim})")
+        lines += [f"  nonzero H^{t} at j={list(j)} (dim {dim})" for t, j, dim in verdict.witnesses]
         if args.m is not None:
             lines.append(f"m_regular at {doc['m']}: {doc['m_regular']}")
         print("\n".join(lines))
@@ -164,11 +138,9 @@ def _cmd_acm(args) -> int:
     if args.format == "json":
         print(_dump(doc))
     elif args.format == "csv":
-        print(emit_table(doc["witnesses"], [("i", 0), ("t", 0)], "csv"))
+        print(emit_table(witnesses, [("i", 0), ("t", 0)], "csv"))
     else:
-        lines = [f"acm: {acm}"]
-        for i, t in witnesses:
-            lines.append(f"  nonzero H^{i} at diagonal twist {t}")
+        lines = [f"acm: {acm}"] + [f"  nonzero H^{i} at diagonal twist {t}" for i, t in witnesses]
         print("\n".join(lines))
     return 0
 
@@ -182,8 +154,7 @@ def _cmd_koszul(args) -> int:
         if args.format == "json":
             print(_dump({"pairs": [list(p) for p in pairs]}))
         else:
-            rows = [{"lhs": a, "rhs": b} for a, b in pairs]
-            print(emit_table(rows, [("lhs", 0), ("rhs", 0)], args.format))
+            print(emit_table(pairs, [("lhs", 0), ("rhs", 0)], args.format))
         return 0
     if args.factor is None:
         raise InputError("E_USAGE", "koszul needs --factor (1-based) or --iso")
@@ -196,10 +167,8 @@ def _cmd_koszul(args) -> int:
     if args.format == "json":
         print(_dump(doc))
     else:
-        rows = []
-        for pos, term in enumerate(complex_.terms):
-            for degree, mult in term.summands:
-                rows.append({"position": pos, "degree": list(degree), "mult": mult})
+        rows = [(pos, degree, mult)
+                for pos, term in enumerate(complex_.terms) for degree, mult in term.summands]
         print(emit_table(rows, [("position", 0), ("degree", shape.s), ("mult", 0)], args.format))
     return 0
 
@@ -208,28 +177,26 @@ def _cmd_check(args) -> int:
     E = _load_bundle(args.bundle)
     s = E.shape.s
     r = _int_vector(args.r, "--r") if args.r else None
-    if args.criterion == "thm12":
-        if r is not None:
-            raise InputError("E_USAGE", "--r does not apply to thm12")
-        report = criteria.thm12_violations(E)
-    elif args.criterion == "thm13":
-        if r is None:
-            raise InputError("E_USAGE", "thm13 needs --r")
-        report = criteria.thm13_violations(E, r)
-    elif args.criterion == "miyazaki":
-        report = criteria.miyazaki_violations(E, r)
-    else:
-        if r is not None:
-            raise InputError("E_USAGE", "--r does not apply to lemma14")
+    if r is not None and args.criterion in ("thm12", "lemma14"):
+        raise InputError("E_USAGE", f"--r does not apply to {args.criterion}")
+    if args.criterion == "lemma14":
         report = criteria.lemma14_check(E)
         if args.format == "json":
             print(_dump(report.to_json()))
         else:
             columns = [("condition", 0), ("t", 0), ("j", s), ("tau", 0), ("dim", 0)]
-            print(emit_table(report.to_rows(), columns, args.format))
+            print(emit_table(report.witnesses, columns, args.format))
         return 1 if (args.strict and not report.conditions_hold) else 0
+    if args.criterion == "thm12":
+        report = criteria.thm12_violations(E)
+    elif args.criterion == "thm13":
+        if r is None:
+            raise InputError("E_USAGE", "thm13 needs --r")
+        report = criteria.thm13_violations(E, r)
+    else:
+        report = criteria.miyazaki_violations(E, r)
     columns = [("i", 0), ("j", s), ("t", 0), ("dim", 0)]
-    print(emit_table(report.to_rows(), columns, args.format))
+    print(emit_table(report.rows, columns, args.format))
     return 1 if (args.strict and not report.empty) else 0
 
 
@@ -242,21 +209,14 @@ def _cmd_audit(args) -> int:
     if args.format == "json":
         print(_dump(report.to_json()))
     elif args.format == "csv":
-        lines = ["bundle,hypothesis,conclusion"]
-        for E, hyp, concl in report.mismatches:
-            quoted = bundle_to_json(E).replace('"', '""')
-            lines.append(f'"{quoted}",{hyp},{concl}')
-        print("\n".join(lines))
+        quoted = [(bundle_to_json(E).replace('"', '""'), hyp, concl)
+                  for E, hyp, concl in report.mismatches]
+        print("\n".join(["bundle,hypothesis,conclusion"] + ['"%s",%s,%s' % row for row in quoted]))
     else:
-        lines = [
-            f"total: {report.total}",
-            f"both: {report.both}",
-            f"hyp_only: {report.hyp_only}",
-            f"concl_only: {report.concl_only}",
-            f"neither: {report.neither}",
-        ]
-        for E, hyp, concl in report.mismatches:
-            lines.append(f"  mismatch {E} hypothesis={hyp} conclusion={concl}")
+        lines = [f"{name}: {getattr(report, name)}"
+                 for name in ("total", "both", "hyp_only", "concl_only", "neither")]
+        lines += [f"  mismatch {E} hypothesis={hyp} conclusion={concl}"
+                  for E, hyp, concl in report.mismatches]
         print("\n".join(lines))
     return 1 if (args.strict and report.mismatches) else 0
 
@@ -333,6 +293,12 @@ def main(argv=None) -> int:
         return code
     except InputError as e:
         print(f"{e.code}: {e}", file=sys.stderr)
+        return 2
+    except ValueError as e:  # str() of a result int past the digit limit; nothing printed yet
+        if "integer string conversion" not in str(e):
+            raise
+        print(f"E_GUARD: a result has more than {sys.get_int_max_str_digits()} digits",
+              file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout early; send the rest to devnull so the

@@ -31,6 +31,9 @@ from .intervals import IntervalSet
 
 Degree = tuple[int, ...]
 
+BOX_GUARD = 1_000_000  # twists a cohomology table may cover, (2B+1)^s
+COUNT_BITS = 1 << 18  # guards work out a count only below about this many bits: past all limits
+
 
 class InputError(ValueError):
     """Invalid input, tagged with a short machine-readable code."""
@@ -38,6 +41,16 @@ class InputError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _guard_message(count: int | None, what: str, guard: str, limit: int) -> str:
+    """'<count> <what> exceed the <guard> of <limit>', the count reading 'more than <limit>'
+    when it is None (not worked out) or too long for str()."""
+    try:
+        shown = f"more than {limit}" if count is None else str(count)
+    except ValueError:
+        shown = f"more than {limit}"
+    return f"{shown} {what} exceed the {guard} of {limit}"
 
 
 @dataclass(frozen=True)
@@ -332,19 +345,39 @@ class CohomologyTable:
 
 
 def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
-    """Tabulate every nonzero H^t(E(d)) for d in the box [-bound, bound]^s."""
+    """Tabulate every nonzero H^t(E(d)) for d in the box [-bound, bound]^s.
+
+    The box is a product of axes, and a line bundle's state is decided factor
+    by factor: on each axis a summand O(a) has live cells (x, q, c), q = 0 and
+    c = C(a_i+x+n_i, n_i) in sections, q = n_i and c = C(-a_i-x-1, n_i) at the
+    top, none on the dead band.  O(a+d) has cohomology exactly when every d_i
+    is live, in degree sum(q) and of dimension prod(c) (Kunneth), so joining
+    cells axis by axis into (d, t, dim), dim starting at the multiplicity,
+    lists its nonzero entries and nothing else.  d is carried as its position
+    in the lexicographic box, so the int t * twists + position orders rows as
+    (t, d); summands merge on it and are sorted once.  Boxes of more than
+    BOX_GUARD twists are refused with E_GUARD before any work.
+    """
     if bound < 0:
         raise InputError("E_RANGE", f"box bound must be >= 0, got {bound}")
     shape = E.shape
-    rows = []
-    for d in product(range(-bound, bound + 1), repeat=shape.s):
-        by_degree: dict[int, int] = {}
-        for degree, mult in E.summands:
-            t, dim = _line_cohomology(shape.dims, [a + x for a, x in zip(degree, d)])
-            if dim:
-                by_degree[t] = by_degree.get(t, 0) + mult * dim
-        rows.extend((t, d, dim) for t, dim in by_degree.items())
-    rows.sort()
+    side = 2 * bound + 1
+    twists = side ** shape.s if (side.bit_length() - 1) * shape.s <= COUNT_BITS else None
+    if twists is None or twists > BOX_GUARD:
+        raise InputError("E_GUARD", _guard_message(twists, "twists", "box guard", BOX_GUARD))
+    xs = range(-bound, bound + 1)
+    merged: dict[int, int] = {}  # t * twists + position of d -> dim
+    for degree, mult in E.summands:
+        partial = [(0, 0, mult)]
+        for a, n in zip(degree, shape.dims):
+            cells = [(x + bound, 0, comb(a + x + n, n)) if a + x >= 0 else
+                     (x + bound, n, comb(-a - x - 1, n)) for x in xs if not -n <= a + x <= -1]
+            partial = [(d * side + x, t + q, dim * c) for d, t, dim in partial for x, q, c in cells]
+        for d, t, dim in partial:
+            key = t * twists + d
+            merged[key] = merged.get(key, 0) + dim
+    box = list(product(xs, repeat=shape.s))
+    rows = [(key // twists, box[key % twists], merged[key]) for key in sorted(merged)]
     return CohomologyTable(shape, tuple(rows))
 
 

@@ -31,17 +31,19 @@ line bundle, counts the 2x2 table with multiset binomials over the four
 reports verbatim.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations_with_replacement, product
 from math import comb
 
 from .core import (
+    COUNT_BITS,
     Degree,
     InputError,
     LineBundleSum,
     Shape,
     _as_shape,
     _check_vector,
+    _guard_message,
     _ray_pieces,
     _sum_dim,
     bundle_to_doc,
@@ -343,17 +345,10 @@ class AuditReport:
         return self.hyp_only == 0 and self.concl_only == 0
 
     def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "both": self.both,
-            "hyp_only": self.hyp_only,
-            "concl_only": self.concl_only,
-            "neither": self.neither,
-            "mismatches": [
-                {"bundle": bundle_to_doc(E), "hypothesis": hyp, "conclusion": concl}
-                for E, hyp, concl in self.mismatches
-            ],
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "mismatches"}
+        doc["mismatches"] = [{"bundle": bundle_to_doc(E), "hypothesis": hyp, "conclusion": concl}
+                             for E, hyp, concl in self.mismatches]
+        return doc
 
 
 def _no_caps(r) -> None:
@@ -413,16 +408,21 @@ def desk_scale_audit(
         raise InputError("E_USAGE", f"unknown criterion {criterion!r}")
     domain, hypothesis, conclusion = _CRITERIA[criterion]
     r = domain(shape, r)
-    ranks = range(1, max_rank + 1)
 
     def multisets(n: int) -> int:
-        """Multisets of size 1 .. max_rank drawn from n degrees."""
-        return sum(comb(n + rho - 1, rho) for rho in ranks)
+        """Multisets of size 1 .. max_rank from n degrees: C(n+max_rank, max_rank) - 1."""
+        return comb(n + max_rank, min(n, max_rank)) - 1  # by the hockey-stick identity
 
-    candidates = multisets((2 * bound + 1) ** shape.s)
-    if candidates > AUDIT_GUARD:
+    # From k = min(degrees, max_rank) = 24 on there are at least C(48, 24) - 1 > AUDIT_GUARD
+    # candidates; the message counts them only while k * bit_length(degrees + max_rank) is cheap.
+    side = 2 * bound + 1
+    degrees = side ** shape.s if (side.bit_length() - 1) * shape.s <= COUNT_BITS else None
+    k = None if degrees is None else min(degrees, max_rank)
+    cheap = k is not None and (k < 24 or k * (degrees + max_rank).bit_length() <= COUNT_BITS)
+    candidates = multisets(degrees) if cheap else None
+    if candidates is None or candidates > AUDIT_GUARD:
         raise AuditGuardError(
-            f"{candidates} candidate bundles exceed the desk-scale guard of {AUDIT_GUARD}"
+            _guard_message(candidates, "candidate bundles", "desk-scale guard", AUDIT_GUARD)
         )
     # product yields the degrees in lexicographic order, as canonical bundles sort them.
     flags = {}
@@ -439,7 +439,7 @@ def desk_scale_audit(
     if listed:
         # A degree where neither side holds makes both false, so it is in no mismatch.
         live = [a for a, (h, c) in flags.items() if h or c]
-        for rho in ranks:
+        for rho in range(1, max_rank + 1):
             for combo in combinations_with_replacement(live, rho):
                 hyp = all(flags[a][0] for a in combo)
                 concl = all(flags[a][1] for a in combo)

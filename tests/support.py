@@ -10,11 +10,14 @@ audit oracle builds and checks every bundle of the box whole, instead of
 classifying summand degrees and counting.  The criterion oracle scans
 every admissible tuple outside the exceptional set over a window of
 diagonal twists, instead of walking the rays and filtering their pieces.
+The table renderer flattens each row into its cells and sorts by them,
+instead of sorting the rows as tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -126,6 +129,34 @@ def criterion_rows_oracle(E: LineBundleSum, caps) -> tuple:
             if dim:
                 rows.append((i, j, t, dim))
     return tuple(sorted(rows))
+
+
+def emit_table_oracle(rows, columns, fmt: str) -> str:
+    """What the CLI prints for rows in column order: sorted by flattened cells, then rendered."""
+    flat = []
+    for row in rows:
+        cells = []
+        for value, (_, width) in zip(row, columns):
+            cells.extend(value) if width else cells.append(value)
+        flat.append(cells)
+    flat.sort()
+    headers = []
+    for name, width in columns:
+        headers.extend([f"{name}_{k}" for k in range(1, width + 1)] if width else [name])
+    if fmt == "json":
+        docs = []
+        for cells in flat:
+            doc, at = {}, 0
+            for name, width in columns:
+                doc[name] = cells[at:at + width] if width else cells[at]
+                at += width or 1
+            docs.append(doc)
+        return json.dumps(docs, separators=(",", ":"))
+    lines = [headers] + [[str(c) for c in cells] for cells in flat]
+    if fmt == "csv":
+        return "\n".join(",".join(line) for line in lines)
+    widths = [max(len(line[k]) for line in lines) for k in range(len(headers))]
+    return "\n".join("  ".join(text.rjust(w) for text, w in zip(line, widths)) for line in lines)
 
 
 def all_shapes(max_total: int):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from multicoh import cli
 from multicoh.cli import build_parser, emit_table, main
+
+from support import emit_table_oracle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -299,6 +302,44 @@ def test_bundle_integer_past_the_digit_limit(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("E_JSON: malformed bundle JSON")
 
 
+LONG_DEGREE = '{"shape":[2],"summands":[{"degree":[' + "9" * 4000 + "]}]}"
+
+
+@pytest.mark.parametrize("option", [["--t", "0"], ["--box", "1"]], ids=["t", "box"])
+def test_result_past_the_digit_limit_is_refused(capsys, option):
+    # h^0(P^2, O(a)) = C(a+2, 2) has about 8000 digits for a 4000-digit a
+    code, out, err = run(capsys, "cohomology", "--bundle", LONG_DEGREE, *option)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("E_GUARD: a result has more than 4300")
+
+
+def test_box_guard_exit(capsys):
+    code, out, err = run(capsys, "cohomology", "--bundle", O22, "--box", "500")
+    assert code == 2 and out == ""
+    assert err == "E_GUARD: 1002001 twists exceed the box guard of 1000000\n"
+    code, out, err = run(capsys, "cohomology", "--bundle", O22, "--box", "9" * 3000)
+    assert code == 2 and out == ""
+    assert err == "E_GUARD: more than 1000000 twists exceed the box guard of 1000000\n"
+
+
+def test_audit_guard_counts_ranks_in_closed_form(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "audit", "--shape", "2", "--criterion", "thm12",
+                         "--bound", "0", "--max-rank", "1000000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "E_GUARD: 1000000000000 candidate bundles exceed the desk-scale guard of 10000000\n"
+
+
+def test_audit_guard_with_a_count_past_the_digit_limit(capsys):
+    # (2B+1)^2 degrees for a 3000-digit B give about 12000 digits of candidates
+    code, out, err = run(capsys, "audit", "--shape", "2,2", "--criterion", "thm12",
+                         "--bound", "9" * 3000, "--max-rank", "2")
+    assert code == 2 and out == ""
+    assert err == ("E_GUARD: more than 10000000 candidate bundles exceed the desk-scale guard "
+                   "of 10000000\n")
+
+
 def test_bundle_from_file(capsys, tmp_path):
     path = tmp_path / "bundle.json"
     path.write_text(O22)
@@ -382,15 +423,15 @@ def test_emit_table_empty_csv():
 
 
 def test_emit_table_single_row_json_array():
-    out = emit_table([{"i": 1, "j": [0, -1]}], [("i", 0), ("j", 2)], "json")
+    out = emit_table([(1, (0, -1))], [("i", 0), ("j", 2)], "json")
     assert out == '[{"i":1,"j":[0,-1]}]'
 
 
 def test_emit_table_order_independent():
     rows = [
-        {"i": 2, "j": [0, 0]},
-        {"i": 1, "j": [-1, 0]},
-        {"i": 1, "j": [-2, 0]},
+        (2, (0, 0)),
+        (1, (-1, 0)),
+        (1, (-2, 0)),
     ]
     cols = [("i", 0), ("j", 2)]
     for fmt in ["json", "csv", "table"]:
@@ -400,19 +441,40 @@ def test_emit_table_order_independent():
 
 
 def test_emit_table_alignment():
-    rows = [{"i": 1, "dim": 100}, {"i": 20, "dim": 1}]
+    rows = [(1, 100), (20, 1)]
     out = emit_table(rows, [("i", 0), ("dim", 0)], "table")
     assert out.split("\n") == [" i  dim", " 1  100", "20    1"]
 
 
+@st.composite
+def table_st(draw):
+    """Columns, rows in column order with ties likely, and a format."""
+    columns, values = [], []
+    for k in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(0, 3))
+        kind = st.integers(-3, 3) | st.sampled_from([10**30, -(10**30)])
+        if not width and draw(st.booleans()):
+            kind = st.sampled_from(["a", "b", "ab", ""])
+        columns.append((f"c{k}", width))
+        values.append(st.tuples(*[kind] * width) if width else kind)
+    rows = draw(st.lists(st.tuples(*values), max_size=12))
+    return rows, columns, draw(st.sampled_from(["json", "csv", "table"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_st())
+def test_emit_table_matches_the_flattened_cell_order(table):
+    rows, columns, fmt = table
+    assert emit_table(rows, columns, fmt) == emit_table_oracle(rows, columns, fmt)
+
+
 # -------------------------------------------------------------------- fuzzing
 #
-# Shapes, boxes, audit bounds and ranks stay small, and the coordinates of a
-# degree stay within a few units of one shared offset: the CLI has no work
-# estimate yet, and a large shape, box, rank or gap between coordinates is
-# accepted and runs for as long as its size says.  Apart from the literals
-# that must be refused, numbers stay far below 4300 digits: a result past
-# Python's limit for turning an int into a string still ends in a ValueError.
+# Shapes stay small, and the coordinates of a degree stay within a few units
+# of one shared offset: the CLI has no work estimate for them yet, and a
+# large shape or gap between coordinates is accepted and runs for as long as
+# its size says.  Boxes, audit bounds and ranks reach past their guards, and
+# one bundle has a 4000-digit degree, whose results are too long for str().
 
 HUGE = [10**30, -(10**30), 2**64, -(2**63) - 1, 10**200]
 TOO_MANY_DIGITS = "9" * 4301
@@ -438,7 +500,7 @@ def mostly(draw, good, bad):
 @st.composite
 def bundle_json_st(draw):
     """Bundle JSON text, mostly well formed."""
-    special = draw(st.sampled_from([None] * 12 + ["empty", "deep", "digits", "cut"]))
+    special = draw(st.sampled_from([None] * 12 + ["empty", "deep", "digits", "long", "cut"]))
     if special == "empty":
         return draw(st.sampled_from(["{}", "", "[]", "null", "{", '{"shape":[],"summands":[]}']))
     if special == "deep":
@@ -448,6 +510,8 @@ def bundle_json_st(draw):
         return where % deep(depth)
     if special == "digits":
         return '{"shape":[2],"summands":[{"degree":[%s],"mult":1}]}' % TOO_MANY_DIGITS
+    if special == "long":
+        return LONG_DEGREE
     bad_dim = st.sampled_from([0, -1, -(10**30), True, 1.5, "2", None])
     dims = [mostly(draw, st.integers(1, 3), bad_dim) for _ in range(draw(st.integers(1, 3)))]
     offset = draw(ints_st)
@@ -501,7 +565,7 @@ def argv_st(draw):
         options.append(("--bundle", bundle))
     if command == "cohomology":
         options += [("--t", draw(scalar_st([-1, 0, 1, 2, 10**30]))),
-                    ("--box", draw(scalar_st([-1, 0, 1, 2, -(10**30)]))),
+                    ("--box", draw(scalar_st([-1, 0, 1, 2, 500, 10**30, -(10**30)]))),
                     ("--twist", draw(vector_st()))]
     if command == "regularity":
         options.append(("--m", draw(vector_st())))
@@ -514,7 +578,7 @@ def argv_st(draw):
         options += [("--criterion", mostly(draw, st.sampled_from(["thm12", "thm13", "lemma14"]),
                                            st.just("x"))),
                     ("--bound", draw(scalar_st([-1, 0, 1, 10**30, -(10**30)]))),
-                    ("--max-rank", draw(scalar_st([-1, 0, 1, 2, -(10**30)]))),
+                    ("--max-rank", draw(scalar_st([-1, 0, 1, 2, 10**12, -(10**30)]))),
                     ("--jobs", draw(scalar_st([1, 2, 10**30])))]
     if command in ("check", "audit"):
         options += [("--r", draw(vector_st())), ("--strict", None)]

@@ -352,12 +352,15 @@ def test_cohomology_table():
     ]
 
 
-@settings(max_examples=40, deadline=None)
-@given(bundles_st())
-def test_cohomology_table_matches_oracle(E):
+@settings(max_examples=60, deadline=None)
+@given(bundles_st(), st.integers(0, 3), st.sampled_from([0] * 3 + [40, -40]), st.data())
+def test_cohomology_table_matches_oracle(E, bound, far, data):
+    # far moves one summand to degrees far outside the box, on every axis at once
     dims = E.shape.dims
+    if far:
+        E = E + line_bundle(dims, tuple(far + data.draw(st.integers(-3, 3)) for _ in dims))
     want = []
-    for d in itertools.product(range(-2, 3), repeat=len(dims)):
+    for d in itertools.product(range(-bound, bound + 1), repeat=len(dims)):
         for t in range(sum(dims) + 1):
             dim = sum(
                 mult * kunneth_oracle(dims, [a + x for a, x in zip(degree, d)], t)
@@ -365,7 +368,38 @@ def test_cohomology_table_matches_oracle(E):
             )
             if dim:
                 want.append((t, d, dim))
-    assert cohomology_table(E, 2).rows == tuple(sorted(want))
+    assert cohomology_table(E, bound).rows == tuple(sorted(want))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_cohomology_table_empty_when_an_axis_is_dead_on_the_whole_box(bound):
+    # on P^n with n = 2*bound+1, O(-bound-1+x) is dead for every x in [-bound, bound]
+    n = 2 * bound + 1
+    for far in (0, 10**6, -(10**6)):
+        E = line_bundle((2, n, 1), (far, -bound - 1, -far))
+        assert cohomology_table(E, bound).rows == ()
+        assert cohomology_table(line_bundle((2, n), (far, -bound - 2)), bound).rows != ()
+
+
+def test_cohomology_table_box_guard(monkeypatch):
+    import multicoh.core as core
+
+    assert core.BOX_GUARD == 10**6
+    with pytest.raises(InputError) as e:
+        cohomology_table(line_bundle((2, 2), (0, 0)), 500)
+    assert (e.value.code, str(e.value)) == ("E_GUARD", "1002001 twists exceed the box guard of 1000000")
+    # a box past COUNT_BITS is refused without working out its size
+    with pytest.raises(InputError) as e:
+        cohomology_table(line_bundle((1,) * 40, (0,) * 40), 10**4000)
+    assert str(e.value) == "more than 1000000 twists exceed the box guard of 1000000"
+    # the guard is (2B+1)^s <= BOX_GUARD: 25 twists pass a guard of 25, 49 do not
+    monkeypatch.setattr(core, "BOX_GUARD", 25)
+    assert len(cohomology_table(line_bundle((1, 1), (9, 9)), 2).rows) == 25
+    with pytest.raises(InputError) as e:
+        cohomology_table(line_bundle((1, 1), (0, 0)), 3)
+    assert str(e.value) == "49 twists exceed the box guard of 25"
+    # one twist, however many factors
+    assert cohomology_table(line_bundle((1,) * 50_000, (0,) * 50_000), 0).rows[0][2] == 1
 
 
 # ---------------------------------------------------------------------- json

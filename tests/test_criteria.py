@@ -1,6 +1,7 @@
 """Splitting-criterion checkers and the enumeration auditor."""
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -324,6 +325,29 @@ def test_audit_guard():
     with pytest.raises(AuditGuardError) as e:
         desk_scale_audit((2, 2), 30, 3, "thm12")
     assert e.value.code == "E_GUARD"
+
+
+@pytest.mark.parametrize(
+    "dims, bound, max_rank",
+    [((2, 2), 30, 3), ((2, 2, 2), 8, 3), ((2,), 11, 23), ((2,), 12, 24), ((2,), 12, 30),
+     ((2, 2), 2, 40), ((2,), 400, 3000)],
+)
+def test_audit_guard_message_counts_every_rank(dims, bound, max_rank):
+    # the closed form must print what summing over every rank prints, also past 24 ranks
+    n = (2 * bound + 1) ** len(dims)
+    count = sum(comb(n + rho - 1, rho) for rho in range(1, max_rank + 1))
+    with pytest.raises(AuditGuardError) as e:
+        desk_scale_audit(dims, bound, max_rank, "thm12")
+    assert str(e.value) == f"{count} candidate bundles exceed the desk-scale guard of 10000000"
+
+
+def test_audit_closed_form_count_at_the_guard():
+    # one degree and 10^7 ranks: exactly AUDIT_GUARD candidates, accepted without a loop over ranks
+    report = desk_scale_audit((2,), 0, 10**7, "thm12")
+    assert (report.total, report.both, report.mismatches) == (10**7, 10**7, ())
+    with pytest.raises(AuditGuardError) as e:
+        desk_scale_audit((2,), 0, 10**7 + 1, "thm12")
+    assert str(e.value) == "10000001 candidate bundles exceed the desk-scale guard of 10000000"
 
 
 def test_audit_listing_guard_refuses_before_building_mismatches(monkeypatch):
