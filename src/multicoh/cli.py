@@ -24,7 +24,6 @@ from .core import (
     LineBundleSum,
     Shape,
     bundle_from_json,
-    bundle_to_json,
     cohomology_table,
     sum_cohomology_dim,
 )
@@ -60,6 +59,14 @@ def _load_bundle(source: str) -> LineBundleSum:
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _bundle_texts(shape: Shape, bundles) -> list[str]:
+    """bundle_to_json of each bundle on shape, encoding the shape and each distinct summand once."""
+    head = '{"shape":%s,"summands":[' % _dump(list(shape.dims))
+    pairs = {pair for E in bundles for pair in E.summands}
+    fragments = {pair: _dump({"degree": list(pair[0]), "mult": pair[1]}) for pair in pairs}
+    return [head + ",".join(map(fragments.__getitem__, E.summands)) + "]}" for E in bundles]
 
 
 def emit_table(rows, columns: list[tuple[str, int]], fmt: str) -> str:
@@ -206,18 +213,24 @@ def _cmd_audit(args) -> int:
     report = criteria.desk_scale_audit(
         shape, args.bound, args.max_rank, args.criterion, r=r, jobs=args.jobs
     )
-    if args.format == "json":
-        print(_dump(report.to_json()))
-    elif args.format == "csv":
-        quoted = [(bundle_to_json(E).replace('"', '""'), hyp, concl)
-                  for E, hyp, concl in report.mismatches]
-        print("\n".join(["bundle,hypothesis,conclusion"] + ['"%s",%s,%s' % row for row in quoted]))
-    else:
-        lines = [f"{name}: {getattr(report, name)}"
-                 for name in ("total", "both", "hyp_only", "concl_only", "neither")]
+    counts = ("total", "both", "hyp_only", "concl_only", "neither")
+    if args.format == "table":
+        lines = [f"{name}: {getattr(report, name)}" for name in counts]
         lines += [f"  mismatch {E} hypothesis={hyp} conclusion={concl}"
                   for E, hyp, concl in report.mismatches]
         print("\n".join(lines))
+    else:
+        # the bytes of _dump(report.to_json()) and bundle_to_json, each distinct part encoded once
+        rows = zip(_bundle_texts(shape, [E for E, _, _ in report.mismatches]), report.mismatches)
+        if args.format == "json":
+            flag = {b: _dump(b) for b in (False, True)}
+            head = ",".join('"%s":%d' % (name, getattr(report, name)) for name in counts)
+            item = '{"bundle":%s,"hypothesis":%s,"conclusion":%s}'
+            items = [item % (text, flag[hyp], flag[concl]) for text, (_, hyp, concl) in rows]
+            print('{%s,"mismatches":[%s]}' % (head, ",".join(items)))
+        else:
+            print("\n".join(["bundle,hypothesis,conclusion"] + ['"%s",%s,%s' % (
+                text.replace('"', '""'), hyp, concl) for text, (_, hyp, concl) in rows]))
     return 1 if (args.strict and report.mismatches) else 0
 
 

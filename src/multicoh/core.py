@@ -151,6 +151,21 @@ class LineBundleSum:
         return " + ".join(bits)
 
 
+def _canonical(shape: Shape, summands: tuple[tuple[Degree, int], ...]) -> LineBundleSum:
+    """The LineBundleSum with these summands, built without any check.
+
+    The caller must pass a Shape and a non-empty tuple of (degree, mult)
+    pairs in canonical form: each degree a tuple of len(shape) ints, each
+    mult an int >= 1, degrees distinct and sorted.  That is exactly what
+    LineBundleSum(shape, summands) would store, so the result is equal to
+    it and hashes alike; anything else breaks that equality silently.
+    """
+    E = object.__new__(LineBundleSum)
+    object.__setattr__(E, "shape", shape)
+    object.__setattr__(E, "summands", summands)
+    return E
+
+
 def line_bundle(shape, degree) -> LineBundleSum:
     """The single line bundle O(degree)."""
     return LineBundleSum(_as_shape(shape), ((tuple(degree), 1),))
@@ -246,7 +261,8 @@ def euler_characteristic(E: LineBundleSum, d=None) -> int:
 def twist(E: LineBundleSum, d) -> LineBundleSum:
     """E tensor O(d)."""
     d = _check_vector(E.shape, d, "twist")
-    return LineBundleSum(
+    # adding one vector keeps the degrees distinct and in order
+    return _canonical(
         E.shape,
         tuple((tuple(a + x for a, x in zip(degree, d)), mult) for degree, mult in E.summands),
     )
@@ -254,9 +270,10 @@ def twist(E: LineBundleSum, d) -> LineBundleSum:
 
 def serre_dual(E: LineBundleSum) -> LineBundleSum:
     """The dual bundle: every degree negated."""
-    return LineBundleSum(
+    # negation reverses the lexicographic order of distinct degrees
+    return _canonical(
         E.shape,
-        tuple((tuple(-a for a in degree), mult) for degree, mult in E.summands),
+        tuple((tuple(-a for a in degree), mult) for degree, mult in reversed(E.summands)),
     )
 
 

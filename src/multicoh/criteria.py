@@ -32,8 +32,10 @@ reports verbatim.
 """
 
 from dataclasses import dataclass, field, fields
-from itertools import combinations_with_replacement, product
+from functools import reduce
+from itertools import combinations_with_replacement, groupby, product
 from math import comb
+from operator import and_
 
 from .core import (
     COUNT_BITS,
@@ -42,6 +44,7 @@ from .core import (
     LineBundleSum,
     Shape,
     _as_shape,
+    _canonical,
     _check_vector,
     _guard_message,
     _ray_pieces,
@@ -50,7 +53,9 @@ from .core import (
 )
 
 AUDIT_GUARD = 10_000_000
-# Mismatch rows an audit may list; each becomes a bundle and a JSON document.
+# Box degrees an audit may evaluate; each is a full criterion check on a line bundle.
+DEGREE_GUARD = 10_000
+# Rows an audit or a check may list: mismatch bundles, or (t, tau) hits along the rays.
 LISTING_GUARD = 100_000
 
 
@@ -132,20 +137,22 @@ class ViolationReport:
         return [{"i": i, "j": list(j), "t": t, "dim": dim} for i, j, t, dim in self.rows]
 
 
-def _ray_hits(E: LineBundleSum, j: Degree, keep) -> list[tuple[int, int, int]]:
-    """(t, tau, dim) for every t with keep(t, j) and tau with dim H^t(E(j + tau*(1,...,1))) != 0.
+def _ray_hits(E: LineBundleSum, rays, keep) -> list[tuple[int, Degree, int, int]]:
+    """(t, j, tau, dim) for every j in rays, t with keep(t, j) and tau with
+    dim H^t(E(j + tau*(1,...,1))) != 0.
 
-    Walks the ray once for all the degrees.  Only the bounded pieces of the
+    Walks each ray once for all the degrees.  Only the bounded pieces of the
     walk are offered to keep, which are those of degree strictly between 0
-    and dim X.  Unordered.
+    and dim X.  More than LISTING_GUARD rows, counted per summand's piece
+    before any tau is expanded, are refused with E_GUARD.  Unordered.
     """
-    hits = {
-        (t, tau)
-        for t, lo, hi in _ray_pieces(E, j)
-        if lo is not None and hi is not None and keep(t, j)
-        for tau in range(lo, hi + 1)
-    }
-    return [(t, tau, _sum_dim(E, [x + tau for x in j], t)) for t, tau in hits]
+    pieces = [(t, j, lo, hi) for j in rays for t, lo, hi in _ray_pieces(E, j)
+              if lo is not None and hi is not None and keep(t, j)]
+    rows = sum(hi - lo + 1 for _, _, lo, hi in pieces)
+    if rows > LISTING_GUARD:
+        raise InputError("E_GUARD", _guard_message(rows, "rows", "listing guard", LISTING_GUARD))
+    hits = {(t, j, tau) for t, j, lo, hi in pieces for tau in range(lo, hi + 1)}
+    return [(t, j, tau, _sum_dim(E, [x + tau for x in j], t)) for t, j, tau in hits]
 
 
 def _criterion_violations(E: LineBundleSum, caps: tuple[int, ...]) -> ViolationReport:
@@ -156,11 +163,7 @@ def _criterion_violations(E: LineBundleSum, caps: tuple[int, ...]) -> ViolationR
         # admissible means max(1, -sum(j)) <= i < dim X; _ray_hits offers 0 < i < dim X only
         return -sum(j) <= i and not _is_exceptional(dims, caps, i, j)
 
-    rows = sorted(
-        (i, j, tau, dim)
-        for j in product(*[range(-n, 1) for n in dims])
-        for i, tau, dim in _ray_hits(E, j, keep)
-    )
+    rows = sorted(_ray_hits(E, product(*[range(-n, 1) for n in dims]), keep))
     return ViolationReport(shape, tuple(rows))
 
 
@@ -319,13 +322,10 @@ def lemma14_check(E: LineBundleSum) -> Lemma14Report:
         # _ray_hits offers 0 < t < sn only: (a) off the multiples of n, (b) at n on the zero pattern
         return t % n != 0 or (t == n and g == zero)
 
-    witnesses = []
-    for g in product(*[range(-n, 1)] * s):
-        # at n = 1 every degree is a multiple of n, so only the zero pattern carries one
-        if max(g) == 0 and (n > 1 or g == zero):
-            for t, tau, dim in _ray_hits(E, g, keep):
-                witnesses.append(("a" if t % n else "b", t, g, tau, dim))
-    witnesses.sort()
+    # at n = 1 every degree is a multiple of n, so only the zero pattern carries one
+    patterns = [g for g in product(*[range(-n, 1)] * s) if max(g) == 0 and (n > 1 or g == zero)]
+    witnesses = sorted(("a" if t % n else "b", t, g, tau, dim)
+                       for t, g, tau, dim in _ray_hits(E, patterns, keep))
     return Lemma14Report(not witnesses, tuple(witnesses), (s * n + 1,))
 
 
@@ -398,8 +398,9 @@ def desk_scale_audit(
     are ANDs over the summands: each degree is evaluated once on O(a), the
     counts are multiset binomials over the four (hypothesis, conclusion)
     classes, and only mismatches are built.  Refuses boxes beyond 10^7
-    candidates, and more than 10^5 mismatches before building any of them.
-    jobs is accepted for compatibility and has no effect.
+    candidates or 10^4 degrees before evaluating any degree, and more than
+    10^5 mismatches before building any of them.  jobs is accepted for
+    compatibility and has no effect.
     """
     shape = _as_shape(shape)
     if bound < 0 or max_rank < 1:
@@ -424,6 +425,8 @@ def desk_scale_audit(
         raise AuditGuardError(
             _guard_message(candidates, "candidate bundles", "desk-scale guard", AUDIT_GUARD)
         )
+    if degrees > DEGREE_GUARD:
+        raise AuditGuardError(_guard_message(degrees, "degrees", "degree guard", DEGREE_GUARD))
     # product yields the degrees in lexicographic order, as canonical bundles sort them.
     flags = {}
     for a in product(range(-bound, bound + 1), repeat=shape.s):
@@ -437,14 +440,15 @@ def desk_scale_audit(
         raise AuditGuardError(f"{listed} mismatch rows exceed the listing guard of {LISTING_GUARD}")
     mismatches = []
     if listed:
-        # A degree where neither side holds makes both false, so it is in no mismatch.
-        live = [a for a, (h, c) in flags.items() if h or c]
+        # Bit 1 is the hypothesis, bit 2 the conclusion, and a bundle's mask is the AND of its
+        # degrees': 1 or 2 on a mismatch.  A degree where neither holds is in no mismatch.
+        mask = {a: h + 2 * c for a, (h, c) in flags.items() if h or c}
         for rho in range(1, max_rank + 1):
-            for combo in combinations_with_replacement(live, rho):
-                hyp = all(flags[a][0] for a in combo)
-                concl = all(flags[a][1] for a in combo)
-                if hyp != concl:
-                    E = LineBundleSum(shape, tuple((a, 1) for a in combo))
-                    mismatches.append((E, hyp, concl))
+            for combo in combinations_with_replacement(mask, rho):
+                m = reduce(and_, map(mask.__getitem__, combo))
+                if m == 1 or m == 2:
+                    # a sorted combo merges into canonical summands by counting its runs
+                    summands = tuple((a, len(list(run))) for a, run in groupby(combo))
+                    mismatches.append((_canonical(shape, summands), m == 1, m == 2))
     neither = candidates - both - hyp_only - concl_only
     return AuditReport(candidates, both, hyp_only, concl_only, neither, tuple(mismatches))

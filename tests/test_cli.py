@@ -1,6 +1,7 @@
 """Front-end behavior: output bytes, exit codes, error diagnostics."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -9,11 +10,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multicoh import cli
+from multicoh import AuditReport, LineBundleSum, bundle_to_json, cli
 from multicoh.cli import build_parser, emit_table, main
 
 from support import emit_table_oracle
@@ -267,6 +269,79 @@ def test_audit_listing_guard_exit(capsys):
     assert err.startswith("E_GUARD: 956790 mismatch rows") and "Traceback" not in err
 
 
+def test_audit_degree_guard_exit(capsys):
+    # 61^3 = 226,981 degrees, each a full thm13 check: refused before the first one
+    start = time.perf_counter()
+    code, out, err = run(capsys, "audit", "--shape", "3,1,2", "--criterion", "thm13",
+                         "--bound", "30", "--max-rank", "1", "--r", "1,0,0")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "E_GUARD: 226981 degrees exceed the degree guard of 10000\n"
+
+
+PROBE = ["audit", "--shape", "1,1,1", "--criterion", "lemma14", "--bound", "2", "--max-rank", "2"]
+SQUARE = ["audit", "--shape", "1,1", "--criterion", "lemma14", "--bound", "3", "--max-rank", "3"]
+
+
+@pytest.mark.parametrize("argv, fmt, digest", [
+    (PROBE, "json", "2963307c27b533dde5180325263d9f2458a982673ae11f58b80fccd15c6d74a3"),
+    (PROBE, "csv", "666e594ea2871fa947f1914cecb7fc2b98d17546629d7ea4b485f713dd136898"),
+    (SQUARE, "json", "5163625a0154f9a92f7c6ef5a1eb7b13d36ad5ab7b830c9d0cebd43c98008290"),
+    (SQUARE, "csv", "85906a7b170e1347f79bca31cc48cc65504f770a3e63c6f2c057d47b22624049"),
+], ids=["probe-json", "probe-csv", "square-json", "square-csv"])
+def test_audit_stdout_is_pinned(capsys, argv, fmt, digest):
+    # the 3105-row lemma14 probe on (1,1,1) and the clean lemma14 audit on (1,1), byte for byte
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@st.composite
+def audit_reports_st(draw):
+    """An AuditReport on 1-4 factors; degrees negative and multi-digit, multiplicities above 1."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    degree = st.tuples(*[st.integers(-1200, 1200) | st.integers(-3, 3) for _ in dims])
+    summands = st.lists(st.tuples(degree, st.integers(1, 12)), min_size=1, max_size=4)
+    mismatches = draw(st.lists(st.tuples(summands, st.booleans(), st.booleans()), max_size=8))
+    counts = draw(st.lists(st.integers(0, 10**12), min_size=5, max_size=5))
+    bundles = tuple((LineBundleSum(tuple(dims), tuple(raw)), hyp, concl)
+                    for raw, hyp, concl in mismatches)
+    return AuditReport(*counts, mismatches=bundles)
+
+
+@settings(max_examples=200, deadline=None)
+@given(audit_reports_st())
+def test_audit_rendering_matches_to_json_and_bundle_to_json(report):
+    shape = next((E.shape for E, _, _ in report.mismatches), None)
+    argv = ["audit", "--shape", ",".join(map(str, shape.dims if shape else [2])),
+            "--criterion", "thm12", "--bound", "0", "--max-rank", "1"]
+    expected = {
+        "json": json.dumps(report.to_json(), separators=(",", ":")),
+        "csv": "\n".join(["bundle,hypothesis,conclusion"] + [
+            '"%s",%s,%s' % (bundle_to_json(E).replace('"', '""'), hyp, concl)
+            for E, hyp, concl in report.mismatches]),
+    }
+    for fmt, text in expected.items():
+        out = io.StringIO()
+        with mock.patch.object(cli.criteria, "desk_scale_audit", lambda *a, **k: report), \
+                contextlib.redirect_stdout(out):
+            assert main(argv + ["--format", fmt]) == 0
+        assert out.getvalue() == text + "\n"
+
+
+@pytest.mark.parametrize("criterion, bundle", [
+    ("thm12", '{"shape":[2,2],"summands":[{"degree":[0,1000000000]}]}'),
+    ("miyazaki", '{"shape":[2,2],"summands":[{"degree":[0,-1000000000]}]}'),
+    ("lemma14", '{"shape":[1,1],"summands":[{"degree":[0,1000000000]}]}'),
+])
+def test_check_row_guard_exit(capsys, criterion, bundle):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", criterion, "--bundle", bundle)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"E_GUARD: \d+ rows exceed the listing guard of 100000\n", err)
+
+
 # --------------------------------------------------------------------- errors
 
 def test_malformed_bundle_json(capsys):
@@ -500,7 +575,7 @@ def mostly(draw, good, bad):
 @st.composite
 def bundle_json_st(draw):
     """Bundle JSON text, mostly well formed."""
-    special = draw(st.sampled_from([None] * 12 + ["empty", "deep", "digits", "long", "cut"]))
+    special = draw(st.sampled_from([None] * 12 + ["empty", "deep", "digits", "long", "cut", "gap"]))
     if special == "empty":
         return draw(st.sampled_from(["{}", "", "[]", "null", "{", '{"shape":[],"summands":[]}']))
     if special == "deep":
@@ -512,6 +587,9 @@ def bundle_json_st(draw):
         return '{"shape":[2],"summands":[{"degree":[%s],"mult":1}]}' % TOO_MANY_DIGITS
     if special == "long":
         return LONG_DEGREE
+    if special == "gap":  # about 10^9 rows on a ray for check, which must refuse it
+        gap = draw(st.sampled_from([10**9, -(10**9)]))
+        return '{"shape":[2,2],"summands":[{"degree":[0,%d]}]}' % gap
     bad_dim = st.sampled_from([0, -1, -(10**30), True, 1.5, "2", None])
     dims = [mostly(draw, st.integers(1, 3), bad_dim) for _ in range(draw(st.integers(1, 3)))]
     offset = draw(ints_st)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from multicoh import (
     InputError,
+    LineBundleSum,
     Shape,
     binom_poly,
     bundle_from_json,
@@ -27,6 +28,7 @@ from multicoh import (
     sum_cohomology_dim,
     twist,
 )
+from multicoh.core import _canonical
 
 from support import (
     bundles_st,
@@ -204,6 +206,23 @@ def test_twist_examples():
     assert twist(twist(E, (3, -5)), (-3, 5)) == E
     with pytest.raises(InputError):
         twist(E, (1,))
+
+
+def assert_same_bundle(trusted, checked):
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert trusted.summands == checked.summands and type(trusted.shape) is Shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundles_st(max_rank=5), st.data())
+def test_trusted_constructor_matches_the_checked_one(E, data):
+    assert_same_bundle(_canonical(E.shape, E.summands), LineBundleSum(E.shape, E.summands))
+    # twist and serre_dual build on the trusted path; the checked constructor sorts and merges
+    d = tuple(data.draw(st.integers(-1000, 1000)) for _ in E.shape)
+    shifted = tuple((tuple(a + x for a, x in zip(degree, d)), m) for degree, m in E.summands)
+    assert_same_bundle(twist(E, d), LineBundleSum(E.shape, shifted))
+    negated = tuple((tuple(-a for a in degree), m) for degree, m in E.summands)
+    assert_same_bundle(serre_dual(E), LineBundleSum(E.shape, negated))
 
 
 def test_serre_duality_dimension_identity():

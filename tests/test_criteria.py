@@ -353,13 +353,19 @@ def test_audit_closed_form_count_at_the_guard():
 def test_audit_listing_guard_refuses_before_building_mismatches(monkeypatch):
     import multicoh.criteria as criteria
 
-    built = []
+    built, trusted = [], []
 
     def counting(shape, summands):
         built.append(len(summands))
         return LineBundleSum(shape, summands)
 
+    def counting_trusted(shape, summands):
+        trusted.append(len(summands))
+        return criteria_canonical(shape, summands)
+
+    criteria_canonical = criteria._canonical
     monkeypatch.setattr(criteria, "LineBundleSum", counting)
+    monkeypatch.setattr(criteria, "_canonical", counting_trusted)
     # 6,843,879 candidates, under AUDIT_GUARD, but 956,790 hyp_only rows to list.
     with pytest.raises(AuditGuardError) as e:
         desk_scale_audit((1, 1, 1), 3, 3, "lemma14")
@@ -367,7 +373,101 @@ def test_audit_listing_guard_refuses_before_building_mismatches(monkeypatch):
     assert str(e.value) == (
         f"956790 mismatch rows exceed the listing guard of {criteria.LISTING_GUARD}"
     )
-    assert built == [1] * 7 ** 3  # one line bundle per degree, no mismatch bundle
+    assert built == [1] * 7 ** 3  # one line bundle per degree
+    assert trusted == []  # and no mismatch bundle
+
+
+def test_audit_degree_guard_refuses_before_evaluating(monkeypatch):
+    import multicoh.criteria as criteria
+
+    built = []
+
+    def counting(shape, summands):
+        built.append(len(summands))
+        return LineBundleSum(shape, summands)
+
+    monkeypatch.setattr(criteria, "LineBundleSum", counting)
+    with pytest.raises(AuditGuardError) as e:
+        desk_scale_audit((3, 1, 2), 30, 1, "thm13", r=(1, 0, 0))
+    assert str(e.value) == "226981 degrees exceed the degree guard of 10000"
+    assert built == []
+    # the candidate guard speaks first when both apply
+    with pytest.raises(AuditGuardError) as e:
+        desk_scale_audit((1, 1, 1), 30, 2, "lemma14")
+    assert str(e.value).endswith("candidate bundles exceed the desk-scale guard of 10000000")
+    # boundary: a box of exactly DEGREE_GUARD degrees is evaluated
+    monkeypatch.setattr(criteria, "DEGREE_GUARD", 9)
+    assert desk_scale_audit((2, 2), 1, 1, "thm12").total == 9
+    monkeypatch.setattr(criteria, "DEGREE_GUARD", 8)
+    with pytest.raises(AuditGuardError) as e:
+        desk_scale_audit((2, 2), 1, 1, "thm12")
+    assert str(e.value) == "9 degrees exceed the degree guard of 8"
+
+
+@pytest.mark.parametrize("criterion, shape, bound, max_rank", [
+    ("lemma14", (1, 1, 1), 1, 3), ("lemma14", (1, 1, 1), 2, 2), ("lemma14", (2, 2, 2), 2, 2),
+    ("lemma14", (1, 1, 1, 1), 1, 2),
+])
+def test_audit_listing_builds_canonical_bundles(criterion, shape, bound, max_rank):
+    # mismatches come from the trusted constructor: each must be what the checked one builds
+    report = desk_scale_audit(shape, bound, max_rank, criterion)
+    assert report.mismatches and any(m > 1 for E, _, _ in report.mismatches for _, m in E.summands)
+    for E, _, _ in report.mismatches:
+        checked = LineBundleSum(shape, tuple((a, 1) for a in E.degrees()))
+        assert E == checked and hash(E) == hash(checked)
+        assert type(E.shape) is Shape and E.summands == checked.summands
+
+
+def test_audit_listing_with_every_degree_class(monkeypatch):
+    # The forward direction holds for every real criterion, so no degree has the conclusion
+    # alone; a stand-in on P^1 puts degrees in all four classes, and mixes of the two one-sided
+    # classes (AND 0) must be counted and listed as neither.
+    import multicoh.criteria as criteria
+
+    def hyp(E, r):
+        return E.summands[0][0][0] <= 0
+
+    def concl(E, r):
+        return 0 <= E.summands[0][0][0] <= 1
+
+    monkeypatch.setitem(criteria._CRITERIA, "stand-in", (lambda shape, r: r, hyp, concl))
+    cells, expected = [0, 0, 0, 0], []
+    for rho in range(1, 4):
+        for combo in itertools.combinations_with_replacement(range(-2, 3), rho):
+            E = LineBundleSum((1,), tuple(((a,), 1) for a in combo))
+            h, c = all(a <= 0 for a in combo), all(0 <= a <= 1 for a in combo)
+            cells[2 * (not h) + (not c)] += 1
+            if h != c:
+                expected.append((E, h, c))
+    report = desk_scale_audit((1,), 2, 3, "stand-in")
+    assert [report.both, report.hyp_only, report.concl_only, report.neither] == cells
+    assert report.mismatches == tuple(expected)
+    assert {(h, c) for _, h, c in expected} == {(True, False), (False, True)}
+
+
+def test_check_row_guard(monkeypatch):
+    import multicoh.criteria as criteria
+
+    E = bundle((2, 2), (0, 3))
+    assert len(thm12_violations(E).rows) == 2
+    monkeypatch.setattr(criteria, "LISTING_GUARD", 2)
+    assert len(thm12_violations(E).rows) == 2
+    monkeypatch.setattr(criteria, "LISTING_GUARD", 1)
+    with pytest.raises(InputError) as e:
+        thm12_violations(E)
+    assert (e.value.code, str(e.value)) == ("E_GUARD", "2 rows exceed the listing guard of 1")
+
+
+@pytest.mark.parametrize("check", [
+    thm12_violations, lambda E: thm13_violations(E, (1, 2)), lemma14_check,
+], ids=["thm12", "thm13", "lemma14"])
+@pytest.mark.parametrize("gap", [10**9, -(10**9)])
+def test_check_row_guard_counts_before_expanding(check, gap):
+    # a gap of 10^9 puts about 10^9 rows on a ray; refused before any tau is listed
+    with pytest.raises(InputError) as e:
+        check(bundle((2, 2), (0, 0), (0, gap)))
+    assert e.value.code == "E_GUARD"
+    assert str(e.value).endswith(" rows exceed the listing guard of 100000")
 
 
 def test_audit_usage_validation():
