@@ -9,7 +9,9 @@ exact complex is zero for every extra twist.
 chi is a product over the axes, so the check sums each column of the
 signed degree multiset along one axis (for a factor complex, its own axis:
 an (n+1)-th finite difference of a degree-n polynomial) before multiplying
-by the other axes' values.
+by the other axes' values.  A column sum is a polynomial of degree at most
+n_k in w_k, so a column the checks have seen vanish at n_k+1 distinct w_k
+is zero at every twist, and the complex drops it.
 
 The same resolutions identify each factor's one-dimensional corner
 cohomology H^{n_k} of O(-(n_k+1)*e_k) with the top cohomology of the
@@ -42,16 +44,21 @@ class Complex:
     terms: tuple[LineBundleSum, ...]
 
     def __post_init__(self):
-        for term in self.terms:
-            if term.shape != self.shape:
+        shape, terms = _as_shape(self.shape), tuple(self.terms)
+        for term in terms:
+            if term.shape != shape:
                 raise InputError("E_SHAPE", "complex terms must share the complex shape")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "terms", terms)
 
     @cached_property
     def _columns(self):
         """sum_r (-1)^r terms[r] as (k, columns), along the axis k with fewest columns.
 
-        Zero coefficients are dropped; a column lists the entries (a_k, c)
-        whose degrees agree off axis k, keyed by those other coordinates.
+        Zero coefficients are dropped; a column [rest, entries, roots] lists
+        the entries (a_k, c) whose degrees agree off axis k, keyed by those
+        other coordinates rest; roots holds the x = w_k + n_k at which the
+        checks found the column's sum zero, or None once it was nonzero.
         """
         signed: dict = {}
         for r, term in enumerate(self.terms):
@@ -62,7 +69,7 @@ class Complex:
         columns: dict = {}
         for a, c in signed.items():
             columns.setdefault(a[:k] + a[k + 1:], []).append((a[k], c))
-        return k, tuple(columns.items())
+        return k, [[rest, entries, set()] for rest, entries in columns.items()]
 
     def to_json(self) -> dict:
         return {
@@ -94,6 +101,7 @@ def euler_exactness_check(C: Complex, extra_twist=None) -> bool:
 
     Each column is summed along its axis (for a factor complex, a finite
     difference); only a nonzero sum is multiplied by the other axes' values.
+    A column whose sum has been zero at n_k+1 distinct w_k is dropped from C.
     """
     dims = C.shape.dims
     d = (0,) * len(dims) if extra_twist is None else _check_vector(C.shape, extra_twist, "twist")
@@ -101,14 +109,20 @@ def euler_exactness_check(C: Complex, extra_twist=None) -> bool:
     n = dims[k]
     x = d[k] + n
     total = 0
-    for rest, entries in columns:
+    for column in columns[:]:
+        rest, entries, roots = column
         prod = 0
         for a, c in entries:
             prod += c * binom_poly(a + x, n)
         if prod:
+            column[2] = None
             for a, w, m in zip(rest, d[:k] + d[k + 1:], dims[:k] + dims[k + 1:]):
                 prod *= binom_poly(a + w + m, m)
             total += prod
+        elif roots is not None:
+            roots.add(x)
+            if len(roots) > n:
+                columns.remove(column)
     return total == 0
 
 

@@ -11,6 +11,7 @@ from multicoh import (
     LineBundleSum,
     Shape,
     euler_exactness_check,
+    koszul,
     koszul_factor_complex,
     line_bundle,
     proposition_iso_dims,
@@ -86,6 +87,22 @@ def test_complex_shape_consistency():
         Complex(Shape((1, 1)), (line_bundle([2], (0,)),))
 
 
+def test_complex_takes_a_plain_shape():
+    C = Complex((2, 2), (line_bundle([2, 2], (0, 0)),))
+    assert C.shape == Shape((2, 2)) and C == Complex(Shape((2, 2)), (line_bundle([2, 2], (0, 0)),))
+    assert not euler_exactness_check(C)
+    with pytest.raises(InputError) as e:
+        Complex((2, 2), (line_bundle([2], (0,)),))
+    assert (e.value.code, str(e.value)) == ("E_SHAPE", "complex terms must share the complex shape")
+
+
+def test_complex_stores_a_list_of_terms_as_a_tuple():
+    terms = [line_bundle([1, 2], (0, 0)), line_bundle([1, 2], (-1, 0))]
+    C = Complex(Shape((1, 2)), terms)
+    assert C.terms == tuple(terms)
+    assert hash(C) == hash(Complex(Shape((1, 2)), tuple(terms)))
+
+
 @st.composite
 def complexes_st(draw, dims, center):
     """1-5 terms drawn from a pool of degrees near center, so degrees repeat and cancel.
@@ -147,7 +164,59 @@ def test_factor_complex_cache_leaves_equality_hash_and_repr_alone():
 
 
 def test_factor_complex_is_one_column_along_its_axis():
+    """One column of n+2 entries, kept through n zero checks and dropped at the (n+1)-th."""
     for dims in all_shapes(4):
         for axis in range(len(dims)):
-            k, columns = koszul_factor_complex(dims, axis, (1,) * len(dims))._columns
+            C = koszul_factor_complex(dims, axis, (1,) * len(dims))
+            k, columns = C._columns
             assert k == axis and len(columns) == 1 and len(columns[0][1]) == dims[axis] + 2
+            for t in range(dims[axis] + 1):
+                assert len(columns) == 1 and len(columns[0][2]) == t
+                w = tuple(t if i == axis else -t for i in range(len(dims)))
+                assert euler_exactness_check(C, w)
+            assert C._columns == (axis, [])
+
+
+def test_column_is_kept_until_it_vanishes_at_n_plus_1_distinct_twists():
+    # chi(O(w)) on P^2 is (w+1)(w+2)/2: zero at w = -1 and -2 only
+    C = Complex(Shape((2,)), (line_bundle([2], (0,)),))
+    assert euler_exactness_check(C, (-1,)) and euler_exactness_check(C, (-2,))
+    assert euler_exactness_check(C, (-1,))
+    assert not euler_exactness_check(C, (0,))
+    assert not euler_exactness_check(C, (3,))
+    assert C._columns[1][0][2] is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes_st, st.data())
+def test_pruned_checks_match_fresh_complexes_and_cohomology(dims, data):
+    """One complex checked over a shuffled window n_i+2 wide on every axis.
+
+    Each verdict must agree with an unpruned copy checked once and with the
+    alternating cohomology sum, whatever the columns seen so far.
+    """
+    w = data.draw(st.tuples(*[st.integers(-20, 20)] * len(dims)), label="w")
+    C = data.draw(complexes_st(dims, tuple(-x for x in w)), label="C")
+    window = itertools.product(*[range(c - 1, c + n + 1) for c, n in zip(w, dims)])
+    for v in data.draw(st.permutations(list(window)), label="order"):
+        oracle = sum((-1) ** r * euler_by_alternating_sum(T, v) for r, T in enumerate(C.terms))
+        fresh = Complex(C.shape, C.terms)
+        assert euler_exactness_check(C, v) == euler_exactness_check(fresh, v) == (oracle == 0), v
+
+
+def test_pruned_column_costs_no_binom_poly_call(monkeypatch):
+    calls = []
+    real = koszul.binom_poly
+    monkeypatch.setattr(koszul, "binom_poly", lambda x, n: calls.append(n) or real(x, n))
+    C = koszul_factor_complex((1000, 1), 0, (0, 0))
+    assert euler_exactness_check(C) and len(calls) == 1002
+    for dims, axis in [((1000, 1), 1), ((3, 1), 0)]:
+        C = koszul_factor_complex(dims, axis, (0, 0))
+        n = dims[axis]
+        calls.clear()
+        for t in range(n + 1):
+            assert euler_exactness_check(C, (t, t))
+        assert len(calls) == (n + 1) * (n + 2)
+        calls.clear()
+        assert all(euler_exactness_check(C, w) for w in [(0, 0), (7, -5), (-9, 4)])
+        assert calls == []

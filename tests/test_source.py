@@ -61,3 +61,52 @@ def test_trusted_site_scan():
         "    return object.__new__(Shape), lambda: object.__new__(LineBundleSum)\n"
     )
     assert sorted(trusted_sites(source)) == ["<lambda>", "<module>", "g"]
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def cache_sites(source: str) -> list[str]:
+    """The function each functools cache or lru_cache reference decorates, or the
+    name its call is assigned to; "<bare>" for any other reference."""
+    tree = ast.parse(source)
+    modules, names = {"functools"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name == "functools" and a.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(alias.asname or alias.name for alias in node.names if alias.name in CACHES)
+    owner = {}
+    for site in ast.walk(tree):  # breadth first, so an inner binding is seen after its outer one
+        if isinstance(site, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in (n for dec in site.decorator_list for n in ast.walk(dec)):
+                owner[node] = site.name
+        elif isinstance(site, (ast.Assign, ast.AnnAssign)) and site.value is not None:
+            targets = site.targets if isinstance(site, ast.Assign) else [site.target]
+            for node in ast.walk(site.value):
+                owner[node] = ", ".join(ast.unparse(target) for target in targets)
+    return [
+        owner.get(node, "<bare>")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in CACHES
+        and ast.unparse(node.value) in modules
+    ]
+
+
+def test_no_caches_but_the_parser():
+    # a process-wide cache grows with every distinct input; the CLI parser is built once per process
+    sites = {p.name: cache_sites(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name: found for name, found in sites.items() if found} == {"cli.py": ["_parser"]}
+
+
+def test_cache_site_scan():
+    source = (
+        "import functools\nimport functools as ft\n"
+        "from functools import lru_cache as lc, cached_property\n"
+        "_parser = functools.cache(build)\n"
+        "@ft.lru_cache(maxsize=None)\ndef f():\n    table: dict = lc()(g)\n"
+        "class A:\n    @lc\n    def g(self):\n        return functools.reduce\n"
+        "    @cached_property\n    def h(self):\n        return print(functools.cache)\n"
+    )
+    assert sorted(cache_sites(source)) == ["<bare>", "_parser", "f", "g", "table"]
