@@ -23,6 +23,11 @@ only-if direction exact on any number of factors.
 The balanced-power criterion (lemma14) lives on (P^n)^s and bounds the
 pairwise gaps of every summand degree by n.
 
+A hypothesis is checked per summand over its whole box of twists j: the
+window of diagonal twists where it can fail is cut into segments of constant
+factor states, on each of which the live per-axis cells are joined into the
+(i, j) with H^i != 0 and filtered once (see _box_hits).
+
 desk_scale_audit cross-tabulates hypothesis against conclusion over every
 canonical bundle in a degree box up to a rank cap.  On a direct sum both
 sides are ANDs over the summands, so it evaluates each degree once on its
@@ -34,8 +39,8 @@ reports verbatim.
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import combinations_with_replacement, groupby, product
-from math import comb
-from operator import and_
+from math import comb, prod
+from operator import add, and_
 
 from .core import (
     COUNT_BITS,
@@ -47,16 +52,17 @@ from .core import (
     _canonical,
     _check_vector,
     _guard_message,
-    _ray_pieces,
-    _sum_dim,
+    _line_cohomology,
     bundle_to_doc,
 )
 
 AUDIT_GUARD = 10_000_000
 # Box degrees an audit may evaluate; each is a full criterion check on a line bundle.
 DEGREE_GUARD = 10_000
-# Rows an audit or a check may list: mismatch bundles, or (t, tau) hits along the rays.
+# Rows an audit or a check may list: mismatch bundles, or (i, j, tau) hits of a check.
 LISTING_GUARD = 100_000
+# Twists j in a check's box; each segment of each summand's window joins up to this many.
+JBOX_GUARD = 10_000
 
 
 class HypothesisDomainError(InputError):
@@ -115,7 +121,7 @@ def exceptional_tuples(shape: Shape, caps: tuple[int, ...]) -> frozenset[tuple[i
     For axis k with cap_k >= 1 these sit at i = dim X - n_k, at twists j
     with j_l - j_k <= cap_k - n_l - 1 for all l != k.  Empty for an axis
     with cap 0; monotone in the caps.  The criteria apply the same rule to
-    each piece of each ray walk and never build this set.
+    each (i, j) of each segment join and never build this set.
     """
     return frozenset(
         (i, j) for i, j in admissible_tuples(shape) if _is_exceptional(shape.dims, caps, i, j)
@@ -137,22 +143,65 @@ class ViolationReport:
         return [{"i": i, "j": list(j), "t": t, "dim": dim} for i, j, t, dim in self.rows]
 
 
-def _ray_hits(E: LineBundleSum, rays, keep) -> list[tuple[int, Degree, int, int]]:
-    """(t, j, tau, dim) for every j in rays, t with keep(t, j) and tau with
-    dim H^t(E(j + tau*(1,...,1))) != 0.
+def _box_hits(E: LineBundleSum, lows, keep) -> dict[tuple[int, Degree, int], int]:
+    """{(i, j, tau): dim H^i(E(j + tau*(1,...,1))) != 0} over the box lows_k <= j_k <= 0
+    (lows_k >= -n_k) and the degrees 0 < i < dim X with keep(i, j).
 
-    Walks each ray once for all the degrees.  Only the bounded pieces of the
-    walk are offered to keep, which are those of degree strictly between 0
-    and dim X.  More than LISTING_GUARD rows, counted per summand's piece
-    before any tau is expanded, are refused with E_GUARD.  Unordered.
+    Per summand O(a), cell (k, x), factor k at j_k = x, is top for tau < -a_k-x-n_k,
+    dead up to -a_k-x-1 and in sections from -a_k-x on.  Window: 0 < i < dim X needs
+    a sections cell, so tau >= -a_l-x >= -max a, and a top cell on another axis, so
+    tau <= -a_k-lows_k-n_k-1: -min a - 1 on the box -n_k <= j_k <= 0.  Segments:
+    cells change state only at -a_k-x-n_k and -a_k-x, all in [-a_k-n_k, -a_k-lows_k]
+    whatever the gaps of a, so no cell changes state inside a segment.  Top
+    cells (x < -a_k-tau-n_k) and sections cells (x >= -a_k-tau) lie n_k+1 apart,
+    further than any two j_k of the box, so each axis is all top, all sections or
+    dead: i = sum(n_k over the top axes) and the j, the product of the live ranges,
+    are constant on a segment.  keep runs once per segment and j; only the
+    dimension, mult times per-axis binomials, varies with tau.  Boxes past
+    JBOX_GUARD twists j are refused with E_GUARD before any join, and more than
+    LISTING_GUARD rows (len(kept) times the segment length, summed per summand)
+    before any tau is expanded.
     """
-    pieces = [(t, j, lo, hi) for j in rays for t, lo, hi in _ray_pieces(E, j)
-              if lo is not None and hi is not None and keep(t, j)]
-    rows = sum(hi - lo + 1 for _, _, lo, hi in pieces)
+    dims, total = E.shape.dims, E.shape.total_dim
+    sides = [1 - lo for lo in lows]
+    box = prod(sides) if max(sides).bit_length() * len(sides) <= COUNT_BITS else None
+    if box is None or box > JBOX_GUARD:
+        raise InputError("E_GUARD", _guard_message(box, "twists j", "j-box guard", JBOX_GUARD))
+    tops = [lo + n + 1 for lo, n in zip(lows, dims)]
+    full = [range(lo, 1) for lo in lows]
+    segments, rows = [], 0  # (start, stop, i, degree, mult, kept j), their row count
+    for degree, mult in E.summands:
+        first, last = -max(degree), -min(map(add, degree, tops))
+        if first > last:
+            continue
+        cuts = {first}
+        for a, lo, n in zip(degree, lows, dims):
+            cuts.update(range(max(first + 1, -a - n), min(last, -a - lo) + 1))
+        cuts = sorted(cuts)
+        for start, stop in zip(cuts, cuts[1:] + [last + 1]):
+            i, live = 0, []
+            for a, lo, n, xs in zip(degree, lows, dims, full):
+                y = -a - start  # cell x is top for x < y-n, in sections for x >= y
+                if lo < y - n:
+                    i += n
+                    live.append(xs if y > n else range(lo, y - n))
+                elif y <= 0:
+                    live.append(xs if y <= lo else range(y, 1))
+                else:
+                    break
+            else:
+                kept = [j for j in product(*live) if keep(i, j)] if 0 < i < total else None
+                if kept:
+                    rows += len(kept) * (stop - start)
+                    segments.append((start, stop, i, degree, mult, kept))
     if rows > LISTING_GUARD:
         raise InputError("E_GUARD", _guard_message(rows, "rows", "listing guard", LISTING_GUARD))
-    hits = {(t, j, tau) for t, j, lo, hi in pieces for tau in range(lo, hi + 1)}
-    return [(t, j, tau, _sum_dim(E, [x + tau for x in j], t)) for t, j, tau in hits]
+    hits: dict[tuple[int, Degree, int], int] = {}
+    for start, stop, i, degree, mult, kept in segments:
+        for tau, j in product(range(start, stop), kept):
+            dim = mult * _line_cohomology(dims, [a + x + tau for a, x in zip(degree, j)])[1]
+            hits[i, j, tau] = hits.get((i, j, tau), 0) + dim
+    return hits
 
 
 def _criterion_violations(E: LineBundleSum, caps: tuple[int, ...]) -> ViolationReport:
@@ -160,11 +209,11 @@ def _criterion_violations(E: LineBundleSum, caps: tuple[int, ...]) -> ViolationR
     dims = shape.dims
 
     def keep(i: int, j: Degree) -> bool:
-        # admissible means max(1, -sum(j)) <= i < dim X; _ray_hits offers 0 < i < dim X only
+        # admissible means max(1, -sum(j)) <= i < dim X; _box_hits offers 0 < i < dim X only
         return -sum(j) <= i and not _is_exceptional(dims, caps, i, j)
 
-    rows = sorted(_ray_hits(E, product(*[range(-n, 1) for n in dims]), keep))
-    return ViolationReport(shape, tuple(rows))
+    hits = _box_hits(E, [-n for n in dims], keep)
+    return ViolationReport(shape, tuple(sorted(key + (dim,) for key, dim in hits.items())))
 
 
 def _require_excess_shape(shape: Shape) -> None:
@@ -266,11 +315,11 @@ def lemma14_conclusion_match(E: LineBundleSum) -> tuple[bool, Degree | None]:
 class Lemma14Report:
     """Outcome of the balanced-power vanishing conditions.
 
-    Witness rows are (condition, t, j, tau, dim) with condition "a" for
-    the off-diagonal-degree checks over gap patterns j and "b" for the
-    diagonal H^n check.  Degrees above dim X cannot carry sheaf
-    cohomology; they are still part of the stated conditions, so they are
-    recorded in vacuous_degrees rather than silently dropped.
+    Witness rows are (condition, t, j, tau, dim) with condition "a" for the
+    off-diagonal-degree checks over gap patterns j (never met by a line bundle
+    sum) and "b" for the diagonal H^n check.  Degrees above dim X cannot carry
+    sheaf cohomology; they are still part of the stated conditions, so they
+    are recorded in vacuous_degrees rather than silently dropped.
     """
 
     conditions_hold: bool
@@ -296,7 +345,7 @@ class Lemma14Report:
 
 def _require_power_shape(shape: Shape) -> int:
     n = shape.dims[0]
-    if shape.s < 2 or any(m != n for m in shape.dims):
+    if shape.s < 2 or shape.dims.count(n) != shape.s:
         raise HypothesisDomainError("balanced-power criterion needs (P^n)^s with s >= 2")
     return n
 
@@ -309,23 +358,16 @@ def lemma14_check(E: LineBundleSum) -> Lemma14Report:
         degree sn+1 exceeds dim X and is flagged vacuous.
     (b) H^n(E(t, ..., t)) = 0 for every integer t.
 
-    The j quantifier in (a) is split into gap patterns (normalized to
-    max j = 0) times a diagonal ray.  Each ray is walked once for all its
-    degrees; the zero pattern's ray also carries degree n, which is (b).
+    A summand has cohomology only in degree n times its number of top
+    factors, so (a) never fails on a line bundle sum.  Only (b) is checked:
+    the box of twists is the zero pattern alone, kept at degree n, and every
+    witness has condition "b".
     """
     shape = E.shape
     n = _require_power_shape(shape)
     s = shape.s
-    zero = (0,) * s
-
-    def keep(t: int, g: Degree) -> bool:
-        # _ray_hits offers 0 < t < sn only: (a) off the multiples of n, (b) at n on the zero pattern
-        return t % n != 0 or (t == n and g == zero)
-
-    # at n = 1 every degree is a multiple of n, so only the zero pattern carries one
-    patterns = [g for g in product(*[range(-n, 1)] * s) if max(g) == 0 and (n > 1 or g == zero)]
-    witnesses = sorted(("a" if t % n else "b", t, g, tau, dim)
-                       for t, g, tau, dim in _ray_hits(E, patterns, keep))
+    hits = _box_hits(E, [0] * s, lambda t, g: t == n)
+    witnesses = sorted([("b", t, g, tau, dim) for (t, g, tau), dim in hits.items()])
     return Lemma14Report(not witnesses, tuple(witnesses), (s * n + 1,))
 
 

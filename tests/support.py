@@ -7,9 +7,11 @@ every per-factor degree splitting instead of reading off the one degree
 that the sections/top/dead state of each factor allows, and Euler
 characteristics are taken as literal alternating sums over all t.  The
 audit oracle builds and checks every bundle of the box whole, instead of
-classifying summand degrees and counting.  The criterion oracle scans
-every admissible tuple outside the exceptional set over a window of
-diagonal twists, instead of walking the rays and filtering their pieces.
+classifying summand degrees and counting.  The criterion oracles scan
+every admissible tuple outside the exceptional set, and every lemma14 gap
+pattern and degree, twist by twist over a window of diagonal twists that
+holds every candidate endpoint, instead of cutting each summand's window
+into segments and joining its per-axis cells once per segment.
 The table renderer flattens each row into its cells and sorts by them,
 instead of sorting the rows as tuples.
 """
@@ -128,6 +130,30 @@ def criterion_rows_oracle(E: LineBundleSum, caps) -> tuple:
             dim = sum_cohomology_dim(E, [x + t for x in j], i)
             if dim:
                 rows.append((i, j, t, dim))
+    return tuple(sorted(rows))
+
+
+def lemma14_rows_oracle(E: LineBundleSum) -> tuple:
+    """The witnesses (condition, t, g, tau, dim) of lemma14 on (P^n)^s, by scanning twists.
+
+    Every gap pattern g in [-n, 0]^s with max g = 0 and every degree
+    0 < t < sn is scanned over scan_window(E, g): condition "a" off the
+    multiples of n, "b" at t = n on the zero pattern, no condition elsewhere.
+    """
+    n, s = E.shape.dims[0], E.shape.s
+    zero = (0,) * s
+    rows = []
+    for g in itertools.product(range(-n, 1), repeat=s):
+        if max(g) != 0:
+            continue
+        for t in range(1, s * n):
+            condition = "a" if t % n else "b" if t == n and g == zero else None
+            if condition is None:
+                continue
+            for tau in scan_window(E, g):
+                dim = sum_cohomology_dim(E, [x + tau for x in g], t)
+                if dim:
+                    rows.append((condition, t, g, tau, dim))
     return tuple(sorted(rows))
 
 

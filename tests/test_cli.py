@@ -342,6 +342,15 @@ def test_check_row_guard_exit(capsys, criterion, bundle):
     assert re.fullmatch(r"E_GUARD: \d+ rows exceed the listing guard of 100000\n", err)
 
 
+def test_check_jbox_guard_exit(capsys):
+    bundle = json.dumps({"shape": [2] * 20, "summands": [{"degree": [0, 3] * 10}]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "thm12", "--bundle", bundle)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "E_GUARD: 3486784401 twists j exceed the j-box guard of 10000\n"
+
+
 # --------------------------------------------------------------------- errors
 
 def test_malformed_bundle_json(capsys):
@@ -545,11 +554,13 @@ def test_emit_table_matches_the_flattened_cell_order(table):
 
 # -------------------------------------------------------------------- fuzzing
 #
-# Shapes stay small, and the coordinates of a degree stay within a few units
-# of one shared offset: the CLI has no work estimate for them yet, and a
-# large shape or gap between coordinates is accepted and runs for as long as
-# its size says.  Boxes, audit bounds and ranks reach past their guards, and
-# one bundle has a 4000-digit degree, whose results are too long for str().
+# Shapes stay small except for check, which draws up to 20 factors and
+# refuses boxes of more than 10^4 twists j; the coordinates of a degree stay
+# within a few units of one shared offset: the CLI has no work estimate for
+# the other commands yet, and a large shape or gap between coordinates is
+# accepted and runs for as long as its size says.  Boxes, audit bounds and
+# ranks reach past their guards, and one bundle has a 4000-digit degree,
+# whose results are too long for str().
 
 HUGE = [10**30, -(10**30), 2**64, -(2**63) - 1, 10**200]
 TOO_MANY_DIGITS = "9" * 4301
@@ -572,9 +583,18 @@ def mostly(draw, good, bad):
     return draw(good if draw(NINE_IN_TEN) else bad)
 
 
+def mostly_list(draw, count: int, good, bad) -> list:
+    """count draws from good, one of them replaced by a draw from bad one time in ten,
+    so a long list is as often well formed as a short one."""
+    items = [draw(good) for _ in range(count)]
+    if items and not draw(NINE_IN_TEN):
+        items[draw(st.integers(0, count - 1))] = draw(bad)
+    return items
+
+
 @st.composite
-def bundle_json_st(draw):
-    """Bundle JSON text, mostly well formed."""
+def bundle_json_st(draw, max_factors: int = 3):
+    """Bundle JSON text, mostly well formed, on up to max_factors factors."""
     special = draw(st.sampled_from([None] * 12 + ["empty", "deep", "digits", "long", "cut", "gap"]))
     if special == "empty":
         return draw(st.sampled_from(["{}", "", "[]", "null", "{", '{"shape":[],"summands":[]}']))
@@ -591,13 +611,15 @@ def bundle_json_st(draw):
         gap = draw(st.sampled_from([10**9, -(10**9)]))
         return '{"shape":[2,2],"summands":[{"degree":[0,%d]}]}' % gap
     bad_dim = st.sampled_from([0, -1, -(10**30), True, 1.5, "2", None])
-    dims = [mostly(draw, st.integers(1, 3), bad_dim) for _ in range(draw(st.integers(1, 3)))]
+    good_dim = st.integers(1, 3)
+    if max_factors > 3 and draw(st.booleans()):  # (P^n)^s, the shape every criterion accepts
+        good_dim = st.just(draw(good_dim))
+    dims = mostly_list(draw, draw(st.integers(1, max_factors)), good_dim, bad_dim)
     offset = draw(ints_st)
     summands = []
     for _ in range(mostly(draw, st.integers(1, 3), st.just(0))):
         length = mostly(draw, st.just(len(dims)), st.sampled_from([0, len(dims) + 1]))
-        degree = [mostly(draw, st.integers(-4, 4).map(lambda x: x + offset), junk_st)
-                  for _ in range(length)]
+        degree = mostly_list(draw, length, st.integers(-4, 4).map(lambda x: x + offset), junk_st)
         entry = {"degree": degree}
         if draw(st.booleans()):
             entry["mult"] = mostly(draw, st.integers(1, 3) | st.sampled_from(HUGE),
@@ -631,9 +653,10 @@ RARE = {"--help", "--nope"}
 @st.composite
 def argv_st(draw):
     """One CLI invocation, refused option pairs and bad values included."""
-    bundle = mostly(draw, bundle_json_st(), st.sampled_from(BUNDLE_FILES))
     commands = ["cohomology", "regularity", "acm", "koszul", "check", "audit"]
     command = draw(st.sampled_from(commands * 4 + ["nope", "--help"]))
+    bundle = mostly(draw, bundle_json_st(20 if command == "check" else 3),
+                    st.sampled_from(BUNDLE_FILES))
     argv = [command]
     options = []
     if command == "check":

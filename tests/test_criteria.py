@@ -1,6 +1,7 @@
 """Splitting-criterion checkers and the enumeration auditor."""
 
 import itertools
+import time
 from math import comb
 
 import pytest
@@ -29,7 +30,13 @@ from multicoh import (
     twist,
 )
 
-from support import audit_oracle, bundles_st, criterion_rows_oracle, criterion_sides
+from support import (
+    audit_oracle,
+    bundles_st,
+    criterion_rows_oracle,
+    criterion_sides,
+    lemma14_rows_oracle,
+)
 
 
 def bundle(shape, *degrees):
@@ -139,6 +146,15 @@ def test_criterion_rows_match_admissible_scan(case):
     criterion, caps, E = case
     report = thm12_violations(E) if criterion == "thm12" else thm13_violations(E, caps)
     assert report.rows == criterion_rows_oracle(E, caps)
+
+
+def test_criterion_rows_reach_both_ends_of_the_window():
+    # a summand O(a) can only have 0 < i < dim X at diagonal twists in [-max a, -min a - 1]
+    for dims, a in [((2, 2), (0, 5)), ((2, 2), (2, 0)), ((2, 2, 2), (0, 4, -3))]:
+        rows = thm13_violations(line_bundle(dims, a), (0,) * len(dims)).rows
+        assert rows == criterion_rows_oracle(line_bundle(dims, a), (0,) * len(dims))
+        taus = [t for _, _, t, _ in rows]
+        assert (min(taus), max(taus)) == (-max(a), -min(a) - 1)
 
 
 # --------------------------------------------------------------- thm12 checker
@@ -268,6 +284,25 @@ def test_lemma14_match():
     E = bundle((1, 1), (0, 1), (5, 4))
     assert lemma14_conclusion_match(E)[0]
     assert not lemma14_conclusion_match(E + line_bundle([1, 1], (0, 2)))[0]
+
+
+@st.composite
+def lemma14_cases_st(draw):
+    """A bundle of rank 1-3, multiplicities up to 3, on (P^n)^s with n <= 3 and s <= 3."""
+    n = draw(st.integers(1, 3))
+    s = draw(st.integers(2, 3 if n > 1 else 4))
+    summands = draw(st.lists(st.tuples(st.tuples(*[st.integers(-6, 6)] * s), st.integers(1, 3)),
+                             min_size=1, max_size=3))
+    return LineBundleSum((n,) * s, tuple(summands))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lemma14_cases_st())
+def test_lemma14_witnesses_match_scan(E):
+    report = lemma14_check(E)
+    assert report.witnesses == lemma14_rows_oracle(E)
+    assert report.conditions_hold == (not report.witnesses)
+    assert report.vacuous_degrees == (E.shape.total_dim + 1,)
 
 
 def test_lemma14_witness_dims_check_out():
@@ -468,6 +503,86 @@ def test_check_row_guard_counts_before_expanding(check, gap):
         check(bundle((2, 2), (0, 0), (0, gap)))
     assert e.value.code == "E_GUARD"
     assert str(e.value).endswith(" rows exceed the listing guard of 100000")
+
+
+@st.composite
+def far_cases_st(draw):
+    """thm12, thm13 or lemma14 with caps, and a bundle of rank 1-2 with multiplicities up to 3
+    whose coordinates may lie about 10^3 apart, on a shape in the criterion's domain."""
+    criterion = draw(st.sampled_from(["thm12", "thm13", "lemma14"]))
+    if criterion == "lemma14":
+        dims = (draw(st.integers(1, 2)),) * draw(st.integers(2, 3))
+    else:
+        dims = tuple(draw(st.integers(2 if criterion == "thm12" else 1, 3)) for _ in range(2))
+    caps = tuple(2 if criterion == "thm12" else draw(st.integers(0, n)) for n in dims)
+    coord = st.integers(-6, 6) | st.integers(-1000, 1000)
+    summands = draw(st.lists(st.tuples(st.tuples(*[coord] * len(dims)), st.integers(1, 3)),
+                             min_size=1, max_size=2))
+    return criterion, caps, LineBundleSum(dims, tuple(summands))
+
+
+@settings(max_examples=60, deadline=None)
+@given(far_cases_st())
+def test_check_row_guard_counts_each_summand_rows(case):
+    # the count refused is the sum over summands of the rows of each summand's own line bundle
+    import multicoh.criteria as criteria
+
+    criterion, caps, E = case
+    check = {"thm12": thm12_violations, "thm13": lambda E: thm13_violations(E, caps),
+             "lemma14": lemma14_check}[criterion]
+    count = 0
+    for degree, _ in E.summands:
+        O = line_bundle(E.shape, degree)
+        count += len(lemma14_rows_oracle(O) if criterion == "lemma14"
+                     else criterion_rows_oracle(O, caps))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(criteria, "LISTING_GUARD", count)
+        check(E)
+        if count:
+            m.setattr(criteria, "LISTING_GUARD", count - 1)
+            with pytest.raises(InputError) as e:
+                check(E)
+            assert str(e.value) == f"{count} rows exceed the listing guard of {count - 1}"
+
+
+def test_check_jbox_guard_refuses_before_any_join(monkeypatch):
+    import multicoh.criteria as criteria
+
+    def no_keep(*args):
+        raise AssertionError("a twist j was joined")
+
+    monkeypatch.setattr(criteria, "_is_exceptional", no_keep)
+    start = time.perf_counter()
+    with pytest.raises(InputError) as e:
+        thm12_violations(line_bundle((2,) * 20, (0, 5) * 10))
+    assert time.perf_counter() - start < 1
+    assert (e.value.code, str(e.value)) == (
+        "E_GUARD", "3486784401 twists j exceed the j-box guard of 10000")
+    # a box whose size is not worked out: more than COUNT_BITS bits of factor dimensions
+    with pytest.raises(InputError) as e:
+        thm13_violations(line_bundle((2**300_000,) * 2, (0, 0)), (0, 0))
+    assert str(e.value) == "more than 10000 twists j exceed the j-box guard of 10000"
+
+
+def test_check_jbox_guard_boundary(monkeypatch):
+    import multicoh.criteria as criteria
+
+    E = line_bundle((2, 2, 2, 2), (0, 1, 2, 3))
+    rows = thm12_violations(E).rows
+    monkeypatch.setattr(criteria, "JBOX_GUARD", 81)
+    assert thm12_violations(E).rows == rows
+    monkeypatch.setattr(criteria, "JBOX_GUARD", 80)
+    with pytest.raises(InputError) as e:
+        thm12_violations(E)
+    assert str(e.value) == "81 twists j exceed the j-box guard of 80"
+    # lemma14 joins the zero pattern alone, on any (P^n)^s
+    monkeypatch.setattr(criteria, "JBOX_GUARD", 1)
+    assert lemma14_check(line_bundle((1,) * 20, (0,) + (2,) * 19)).witnesses
+    assert lemma14_check(line_bundle((3,) * 20, (0,) + (4,) * 19)).witnesses
+    monkeypatch.setattr(criteria, "JBOX_GUARD", 0)
+    with pytest.raises(InputError) as e:
+        lemma14_check(line_bundle((2, 2), (0, 2)))
+    assert str(e.value) == "1 twists j exceed the j-box guard of 0"
 
 
 def test_audit_usage_validation():
