@@ -24,9 +24,10 @@ The balanced-power criterion (lemma14) lives on (P^n)^s and bounds the
 pairwise gaps of every summand degree by n.
 
 A hypothesis is checked per summand over its whole box of twists j: the
-window of diagonal twists where it can fail is cut into segments of constant
-factor states, on each of which the live per-axis cells are joined into the
-(i, j) with H^i != 0 and filtered once (see _box_hits).
+diagonal twists where it can fail are cut into phases on which no factor
+turns from top to sections cohomology, and on each phase the per-axis cells
+are joined into the (i, j) with H^i != 0, each with its interval of twists,
+and filtered once (see _box_hits).
 
 desk_scale_audit cross-tabulates hypothesis against conclusion over every
 canonical bundle in a degree box up to a rank cap.  On a direct sum both
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import combinations_with_replacement, groupby, product
 from math import comb, prod
-from operator import add, and_
+from operator import and_
 
 from .core import (
     COUNT_BITS,
@@ -61,7 +62,7 @@ AUDIT_GUARD = 10_000_000
 DEGREE_GUARD = 10_000
 # Rows an audit or a check may list: mismatch bundles, or (i, j, tau) hits of a check.
 LISTING_GUARD = 100_000
-# Twists j in a check's box; each segment of each summand's window joins up to this many.
+# Twists j in a check's box; no level of a summand's phase join holds more than this.
 JBOX_GUARD = 10_000
 
 
@@ -121,7 +122,7 @@ def exceptional_tuples(shape: Shape, caps: tuple[int, ...]) -> frozenset[tuple[i
     For axis k with cap_k >= 1 these sit at i = dim X - n_k, at twists j
     with j_l - j_k <= cap_k - n_l - 1 for all l != k.  Empty for an axis
     with cap 0; monotone in the caps.  The criteria apply the same rule to
-    each (i, j) of each segment join and never build this set.
+    each (i, j) of each phase join and never build this set.
     """
     return frozenset(
         (i, j) for i, j in admissible_tuples(shape) if _is_exceptional(shape.dims, caps, i, j)
@@ -147,58 +148,58 @@ def _box_hits(E: LineBundleSum, lows, keep) -> dict[tuple[int, Degree, int], int
     """{(i, j, tau): dim H^i(E(j + tau*(1,...,1))) != 0} over the box lows_k <= j_k <= 0
     (lows_k >= -n_k) and the degrees 0 < i < dim X with keep(i, j).
 
-    Per summand O(a), cell (k, x), factor k at j_k = x, is top for tau < -a_k-x-n_k,
-    dead up to -a_k-x-1 and in sections from -a_k-x on.  Window: 0 < i < dim X needs
-    a sections cell, so tau >= -a_l-x >= -max a, and a top cell on another axis, so
-    tau <= -a_k-lows_k-n_k-1: -min a - 1 on the box -n_k <= j_k <= 0.  Segments:
-    cells change state only at -a_k-x-n_k and -a_k-x, all in [-a_k-n_k, -a_k-lows_k]
-    whatever the gaps of a, so no cell changes state inside a segment.  Top
-    cells (x < -a_k-tau-n_k) and sections cells (x >= -a_k-tau) lie n_k+1 apart,
-    further than any two j_k of the box, so each axis is all top, all sections or
-    dead: i = sum(n_k over the top axes) and the j, the product of the live ranges,
-    are constant on a segment.  keep runs once per segment and j; only the
-    dimension, mult times per-axis binomials, varies with tau.  Boxes past
-    JBOX_GUARD twists j are refused with E_GUARD before any join, and more than
-    LISTING_GUARD rows (len(kept) times the segment length, summed per summand)
-    before any tau is expanded.
+    Per summand O(a), cell (k, x), factor k at j_k = x, is top for tau <= -a_k-x-n_k-1,
+    dead up to -a_k-x-1 and in sections from -a_k-x on.  A top cell (x < -a_k-tau-n_k)
+    and a sections cell (x >= -a_k-tau) lie more than n_k apart, further than any two
+    j_k of the box, so axis k has top cells only for tau < e_k = -a_k-lows_k-n_k and
+    sections cells only for tau >= -a_k >= e_k.  Window: 0 < i < dim X needs a sections
+    axis and a top axis, so -max a <= tau < max e.  Phases: the window is cut at every
+    -a_k inside it, so no axis turns to sections inside a phase.  An axis with neither
+    kind of cell at the start of a phase has none to its end.  Otherwise each axis is
+    top (T) or sections (S) throughout, except that a T axis may run out of top cells
+    at e_k, and every j's interval ends before that.  So i = sum(n_k over T) is constant
+    where j is live, and j is live at tau iff tau <= -a_k-j_k-n_k-1 on T and
+    tau >= -a_k-j_k on S: one interval, which the join of the axes' cells carries,
+    dropping j once it is empty.  keep runs once per live j of a phase, on at most s
+    phases, and no level of a join holds more than the box, whatever the gaps of a.
+    Boxes past JBOX_GUARD twists j are refused with E_GUARD before any join, and more
+    than LISTING_GUARD rows (the intervals' lengths, summed per summand) before any tau
+    is expanded.  The dimension at tau is mult times the per-axis binomials.
     """
-    dims, total = E.shape.dims, E.shape.total_dim
+    dims = E.shape.dims
     sides = [1 - lo for lo in lows]
     box = prod(sides) if max(sides).bit_length() * len(sides) <= COUNT_BITS else None
     if box is None or box > JBOX_GUARD:
         raise InputError("E_GUARD", _guard_message(box, "twists j", "j-box guard", JBOX_GUARD))
-    tops = [lo + n + 1 for lo, n in zip(lows, dims)]
-    full = [range(lo, 1) for lo in lows]
-    segments, rows = [], 0  # (start, stop, i, degree, mult, kept j), their row count
+    runs, rows = [], 0  # (i, j, first, last, degree, mult) per kept j of a phase, their row count
     for degree, mult in E.summands:
-        first, last = -max(degree), -min(map(add, degree, tops))
-        if first > last:
-            continue
-        cuts = {first}
-        for a, lo, n in zip(degree, lows, dims):
-            cuts.update(range(max(first + 1, -a - n), min(last, -a - lo) + 1))
-        cuts = sorted(cuts)
-        for start, stop in zip(cuts, cuts[1:] + [last + 1]):
-            i, live = 0, []
-            for a, lo, n, xs in zip(degree, lows, dims, full):
-                y = -a - start  # cell x is top for x < y-n, in sections for x >= y
-                if lo < y - n:
+        ends = [-a - lo - n for a, lo, n in zip(degree, lows, dims)]
+        right = max(ends)  # the window ends where the last axis runs out of top cells
+        cuts = sorted({right, *(-a for a in degree if -a < right)})
+        for start, stop in zip(cuts, cuts[1:]):
+            i, live = 0, [((), start, stop - 1)]  # j so far, first and last tau it is live at
+            for a, lo, n, end in zip(degree, lows, dims, ends):
+                if start < end:  # top: cell x until u = -a-x-n-1
                     i += n
-                    live.append(xs if y > n else range(lo, y - n))
-                elif y <= 0:
-                    live.append(xs if y <= lo else range(y, 1))
+                    cells = [(x, -a - x - n - 1) for x in range(lo, min(0, -a - n - 1 - start) + 1)]
+                    live = [(j + (x,), first, u if u < last else last)
+                            for j, first, last in live for x, u in cells if u >= first]
+                elif start >= -a:  # sections: cell x from v = -a-x on
+                    cells = [(x, -a - x) for x in range(max(lo, -a - stop + 1), 1)]
+                    live = [(j + (x,), v if v > first else first, last)
+                            for j, first, last in live for x, v in cells if v <= last]
                 else:
                     break
             else:
-                kept = [j for j in product(*live) if keep(i, j)] if 0 < i < total else None
-                if kept:
-                    rows += len(kept) * (stop - start)
-                    segments.append((start, stop, i, degree, mult, kept))
+                for j, first, last in live:
+                    if keep(i, j):
+                        rows += last - first + 1
+                        runs.append((i, j, first, last, degree, mult))
     if rows > LISTING_GUARD:
         raise InputError("E_GUARD", _guard_message(rows, "rows", "listing guard", LISTING_GUARD))
     hits: dict[tuple[int, Degree, int], int] = {}
-    for start, stop, i, degree, mult, kept in segments:
-        for tau, j in product(range(start, stop), kept):
+    for i, j, first, last, degree, mult in runs:
+        for tau in range(first, last + 1):
             dim = mult * _line_cohomology(dims, [a + x + tau for a, x in zip(degree, j)])[1]
             hits[i, j, tau] = hits.get((i, j, tau), 0) + dim
     return hits
@@ -345,7 +346,7 @@ class Lemma14Report:
 
 def _require_power_shape(shape: Shape) -> int:
     n = shape.dims[0]
-    if shape.s < 2 or shape.dims.count(n) != shape.s:
+    if shape.s < 2 or any(m != n for m in shape.dims):
         raise HypothesisDomainError("balanced-power criterion needs (P^n)^s with s >= 2")
     return n
 

@@ -11,7 +11,7 @@ classifying summand degrees and counting.  The criterion oracles scan
 every admissible tuple outside the exceptional set, and every lemma14 gap
 pattern and degree, twist by twist over a window of diagonal twists that
 holds every candidate endpoint, instead of cutting each summand's window
-into segments and joining its per-axis cells once per segment.
+into phases and joining its per-axis cells with their intervals of twists.
 The table renderer flattens each row into its cells and sorts by them,
 instead of sorting the rows as tuples.
 """

@@ -351,6 +351,19 @@ def test_check_jbox_guard_exit(capsys):
     assert err == "E_GUARD: 3486784401 twists j exceed the j-box guard of 10000\n"
 
 
+@pytest.mark.parametrize("degree, r, expected", [
+    ("0,1000000", "0,0", (2, "", "E_GUARD: 9974000001 rows exceed the listing guard of 100000\n")),
+    ("1000000,0", "4999,1", (0, "[]\n", "")),
+])
+def test_check_long_factor_far_apart_exit(capsys, degree, r, expected):
+    # 10^4 twists j, and the first factor changes state at about 10^4 diagonal twists
+    bundle = '{"shape":[4999,1],"summands":[{"degree":[%s]}]}' % degree
+    start = time.perf_counter()
+    result = run(capsys, "check", "thm13", "--bundle", bundle, "--r", r)
+    assert time.perf_counter() - start < 1
+    assert result == expected
+
+
 # --------------------------------------------------------------------- errors
 
 def test_malformed_bundle_json(capsys):
@@ -584,11 +597,15 @@ def mostly(draw, good, bad):
 
 
 def mostly_list(draw, count: int, good, bad) -> list:
-    """count draws from good, one of them replaced by a draw from bad one time in ten,
-    so a long list is as often well formed as a short one."""
+    """count entries.  Up to three, each is drawn by mostly(good, bad).  A longer list,
+    which only check draws, is drawn from good and then, one time in ten, a drawn set of
+    its positions from bad: entry by entry, 20 entries would be well formed 12% of the time."""
+    if count <= 3:
+        return [mostly(draw, good, bad) for _ in range(count)]
     items = [draw(good) for _ in range(count)]
-    if items and not draw(NINE_IN_TEN):
-        items[draw(st.integers(0, count - 1))] = draw(bad)
+    if not draw(NINE_IN_TEN):
+        for k in draw(st.sets(st.integers(0, count - 1), min_size=1)):
+            items[k] = draw(bad)
     return items
 
 
@@ -612,9 +629,11 @@ def bundle_json_st(draw, max_factors: int = 3):
         return '{"shape":[2,2],"summands":[{"degree":[0,%d]}]}' % gap
     bad_dim = st.sampled_from([0, -1, -(10**30), True, 1.5, "2", None])
     good_dim = st.integers(1, 3)
-    if max_factors > 3 and draw(st.booleans()):  # (P^n)^s, the shape every criterion accepts
+    count = draw(st.integers(1, 3) if max_factors <= 3
+                 else st.integers(1, 3) | st.integers(4, max_factors))
+    if count > 3 and draw(st.booleans()):  # (P^n)^s, the shape every criterion accepts
         good_dim = st.just(draw(good_dim))
-    dims = mostly_list(draw, draw(st.integers(1, max_factors)), good_dim, bad_dim)
+    dims = mostly_list(draw, count, good_dim, bad_dim)
     offset = draw(ints_st)
     summands = []
     for _ in range(mostly(draw, st.integers(1, 3), st.just(0))):

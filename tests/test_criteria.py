@@ -564,6 +564,23 @@ def test_check_jbox_guard_refuses_before_any_join(monkeypatch):
     assert str(e.value) == "more than 10000 twists j exceed the j-box guard of 10000"
 
 
+def test_check_join_work_does_not_grow_with_the_gaps(monkeypatch):
+    # (4999, 1) has 10^4 twists j, and its first factor changes state at about 10^4 diagonal
+    # twists; on two factors there is one phase, so each j is filtered at most once
+    import multicoh.criteria as criteria
+
+    calls = []
+    real = criteria._is_exceptional
+    monkeypatch.setattr(criteria, "_is_exceptional", lambda *args: calls.append(1) or real(*args))
+    start = time.perf_counter()
+    with pytest.raises(InputError) as e:
+        thm13_violations(line_bundle((4999, 1), (0, 10**6)), (0, 0))
+    assert str(e.value) == "9974000001 rows exceed the listing guard of 100000"
+    assert thm13_violations(line_bundle((4999, 1), (10**6, 0)), (4999, 1)).empty
+    assert time.perf_counter() - start < 1
+    assert len(calls) <= 2 * 10**4
+
+
 def test_check_jbox_guard_boundary(monkeypatch):
     import multicoh.criteria as criteria
 
