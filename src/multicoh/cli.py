@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain, starmap
 from pathlib import Path
 
 from . import criteria, koszul, regularity
@@ -73,23 +74,36 @@ def emit_table(rows, columns: list[tuple[str, int]], fmt: str) -> str:
     """Render rows, tuples in column order, deterministically.
 
     columns lists (field, vector_width) pairs, vector_width 0 for a scalar
-    field; a vector field is a tuple of that width in every row.  json keeps
-    vectors as arrays in one array document, even for one row; csv flattens
-    them into field_1 ... field_s under a header that is there even with no
-    rows; table aligns the csv cells.  Rows are sorted as tuples, so input
-    order never shows; as each vector has one width, that is the order of
-    the flattened cells.
+    field; a vector field is a tuple of that width in every row, and field
+    names are identifiers.  json keeps vectors as arrays in one array
+    document, even for one row; csv flattens them into field_1 ... field_s
+    under a header that is there even with no rows; table aligns the csv
+    cells.  Rows are sorted as tuples, so input order never shows; as each
+    vector has one width, that is the order of the flattened cells.  Every
+    format fills one row template built from one field list: {i} for a scalar,
+    {i[0]},...,{i[w-1]} for a vector.  JSON prints an int as str() does, so
+    int cells fill it as they are; a column with any other cell (a str, a
+    bool) is JSON-encoded cell by cell first.
     """
     rows = sorted(rows)
+    fields = [",".join([f"{{{i}[{k}]}}" for k in range(width)]) if width else f"{{{i}}}"
+              for i, (_, width) in enumerate(columns)]
     if fmt == "json":
-        names = [name for name, _ in columns]
-        return _dump([dict(zip(names, row)) for row in rows])
-    # a header and a format field per flattened cell: {i} for a scalar, {i[k]} for a vector entry
-    headers, fields = zip(*[(f"{name}_{k + 1}", f"{{{i}[{k}]}}") if width else (name, f"{{{i}}}")
-                            for i, (name, width) in enumerate(columns) for k in range(width or 1)])
+        if not rows:
+            return "[]"
+        line = []
+        for i, ((name, width), field, cells) in enumerate(zip(columns, fields, zip(*rows))):
+            if not {int}.issuperset(map(type, chain.from_iterable(cells) if width else cells)):
+                encode = (lambda v: tuple(map(_dump, v))) if width else _dump
+                rows = [row[:i] + (encode(row[i]),) + row[i + 1:] for row in rows]
+            line.append(f'"{name}":[{field}]' if width else f'"{name}":{field}')
+        return "[{%s}]" % "},{".join(starmap(",".join(line).format, rows))
+    line = ",".join(fields)
+    headers = [f"{name}_{k + 1}" if width else name
+               for name, width in columns for k in range(width or 1)]
     if fmt == "csv":
-        line = ",".join(fields)
-        return "\n".join([",".join(headers)] + [line.format(*row) for row in rows])
+        return "\n".join([",".join(headers), *starmap(line.format, rows)])
+    fields = line.split(",")
     lines = [headers] + [[field.format(*row) for field in fields] for row in rows]
     sizes = [max(map(len, column)) for column in zip(*lines)]
     return "\n".join(["  ".join(text.rjust(w) for text, w in zip(cells, sizes)) for cells in lines])

@@ -369,11 +369,13 @@ def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
     c = C(a_i+x+n_i, n_i) in sections, q = n_i and c = C(-a_i-x-1, n_i) at the
     top, none on the dead band.  O(a+d) has cohomology exactly when every d_i
     is live, in degree sum(q) and of dimension prod(c) (Kunneth), so joining
-    cells axis by axis into (d, t, dim), dim starting at the multiplicity,
-    lists its nonzero entries and nothing else.  d is carried as its position
-    in the lexicographic box, so the int t * twists + position orders rows as
-    (t, d); summands merge on it and are sorted once.  Boxes of more than
-    BOX_GUARD twists are refused with E_GUARD before any work.
+    cells axis by axis, dim starting at the multiplicity, lists its nonzero
+    entries and nothing else.  The key t * twists + (d's position in the
+    lexicographic box) orders rows as (t, d) and is linear in the cells: axis
+    k's cell carries (x+B) * side^(s-1-k), plus n_k * twists at the top, so
+    the join adds keys and multiplies dims.  Summands merge on the key and are
+    sorted once.  Boxes of more than BOX_GUARD twists are refused with E_GUARD
+    before any work.
     """
     if bound < 0:
         raise InputError("E_RANGE", f"box bound must be >= 0, got {bound}")
@@ -385,14 +387,20 @@ def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
     xs = range(-bound, bound + 1)
     merged: dict[int, int] = {}  # t * twists + position of d -> dim
     for degree, mult in E.summands:
-        partial = [(0, 0, mult)]
+        partial = [(0, mult)]
+        scale = twists
         for a, n in zip(degree, shape.dims):
-            cells = [(x + bound, 0, comb(a + x + n, n)) if a + x >= 0 else
-                     (x + bound, n, comb(-a - x - 1, n)) for x in xs if not -n <= a + x <= -1]
-            partial = [(d * side + x, t + q, dim * c) for d, t, dim in partial for x, q, c in cells]
-        for d, t, dim in partial:
-            key = t * twists + d
-            merged[key] = merged.get(key, 0) + dim
+            scale //= side
+            cells = [((x + bound) * scale, comb(a + x + n, n)) if a + x >= 0 else
+                     ((x + bound) * scale + n * twists, comb(-a - x - 1, n))
+                     for x in xs if not -n <= a + x <= -1]
+            partial = [(key + k, dim * c) for key, dim in partial for k, c in cells]
+        if merged:
+            for key, dim in partial:
+                merged[key] = merged.get(key, 0) + dim
+        else:
+            merged = dict(partial)
+    del partial  # the last join, up to one pair per twist, is not held while rows are built
     box = list(product(xs, repeat=shape.s))
     rows = [(key // twists, box[key % twists], merged[key]) for key in sorted(merged)]
     return CohomologyTable(shape, tuple(rows))

@@ -29,11 +29,14 @@ from .core import (
     Shape,
     _as_shape,
     _check_vector,
+    _guard_message,
     binom_poly,
     bundle_to_doc,
     dualizing_degree,
     kunneth_dim,
 )
+
+KOSZUL_GUARD = 3_000  # terms of a factor complex: its work grows as n^3, about 0.6 s at n = 3000
 
 
 @dataclass(frozen=True)
@@ -82,13 +85,16 @@ def koszul_factor_complex(shape, axis: int, d) -> Complex:
     """The coordinate-form complex of one factor, twisted to start at O(d).
 
     Term r is O(d - r*e_axis) with multiplicity C(n+1, r), r = 0 .. n+1,
-    where n is the dimension of the chosen factor.
+    where n is the dimension of the chosen factor.  More than KOSZUL_GUARD
+    terms are refused with E_GUARD before any term is built.
     """
     shape = _as_shape(shape)
     if not 0 <= axis < shape.s:
         raise InputError("E_RANGE", f"factor index {axis} out of range for {shape.s} factors")
     d = _check_vector(shape, d, "degree")
     n = shape.dims[axis]
+    if n + 2 > KOSZUL_GUARD:
+        raise InputError("E_GUARD", _guard_message(n + 2, "terms", "koszul guard", KOSZUL_GUARD))
     terms = []
     for r in range(n + 2):
         degree = tuple(a - r if i == axis else a for i, a in enumerate(d))

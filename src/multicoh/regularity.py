@@ -14,16 +14,22 @@ ray: an intermediate degree lives on bounded pieces only.
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 
 from .core import (
+    COUNT_BITS,
     Degree,
+    InputError,
     LineBundleSum,
     _as_shape,
     _check_vector,
+    _guard_message,
     _ray_pieces,
     _sum_dim,
     twist,
 )
+
+SCAN_GUARD = 100_000  # (j, summand) pairs a 0-regularity scan may evaluate: about 0.2 s
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,17 @@ class RegularityVerdict:
 
 
 def is_zero_regular(E: LineBundleSum) -> RegularityVerdict:
-    """Scan the defining box; witnesses list every (t, j, dim) with H^t(E(j)) != 0, sorted."""
+    """Scan the defining box; witnesses list every (t, j, dim) with H^t(E(j)) != 0, sorted.
+
+    The scan evaluates every distinct summand at every twist j of the box, so
+    more than SCAN_GUARD such pairs are refused with E_GUARD before any of them.
+    """
+    sides = [n + 1 for n in E.shape.dims]
+    box = prod(sides) if max(sides).bit_length() * len(sides) <= COUNT_BITS else None
+    pairs = None if box is None else box * len(E.summands)
+    if pairs is None or pairs > SCAN_GUARD:
+        raise InputError(
+            "E_GUARD", _guard_message(pairs, "(j, summand) pairs", "regularity guard", SCAN_GUARD))
     witnesses = []
     for j in product(*[range(-n, 1) for n in E.shape.dims]):
         t = -sum(j)

@@ -65,6 +65,28 @@ def test_cohomology_box_csv(capsys):
     assert "0,1,1,9" in lines
 
 
+# (2,2): O(3,2)^2 and O(1,0) merge in H^0 with dims of four digits; O(-4,-3) and O(0,-5)^3
+# reach H^2 and H^4.  (1,1,1): degrees 0, 1 and 2 over 125 twists.
+SQUARE_TABLE = ('{"shape":[2,2],"summands":[{"degree":[3,2],"mult":2},{"degree":[1,0]},'
+                '{"degree":[-4,-3]},{"degree":[0,-5],"mult":3}]}')
+CUBE_TABLE = ('{"shape":[1,1,1],"summands":[{"degree":[0,-2,1]},{"degree":[-3,1,-2],"mult":2},'
+              '{"degree":[2,2,2]}]}')
+
+
+@pytest.mark.parametrize("bundle, box, fmt, digest", [
+    (SQUARE_TABLE, "4", "json", "cdb16c935f97c0c7d053dc4b43450b244ea6074fdacb9b2d2c3f6fff68bce8e9"),
+    (SQUARE_TABLE, "4", "csv", "7b44d611988a8d384a0020aa62f32d9223664d158165440bba5571634fbfd555"),
+    (SQUARE_TABLE, "4", "table", "929b444041056e819a0a1c94a0e3229ea33c2c0f400f969fab0fb5274943be88"),
+    (CUBE_TABLE, "2", "json", "c7cf846a0aab7ea3fbaa5c13f9aeba5f58eacd75325857517974ad36ace4b22a"),
+    (CUBE_TABLE, "2", "csv", "4c7f430690d0afb0c96f86de2fccd8c6c171917eb9421e2bfb35aa214424aaa6"),
+    (CUBE_TABLE, "2", "table", "51f57ab0f8d1cfae3ba5e18c79633d2e1261373fd089d68819e4cf416702398d"),
+], ids=["square-json", "square-csv", "square-table", "cube-json", "cube-csv", "cube-table"])
+def test_cohomology_box_stdout_is_pinned(capsys, bundle, box, fmt, digest):
+    code, out, err = run(capsys, "cohomology", "--bundle", bundle, "--box", box, "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cohomology_needs_t_or_box(capsys):
     code, out, err = run(capsys, "cohomology", "--bundle", O22)
     assert code == 2 and out == ""
@@ -88,6 +110,18 @@ def test_regularity_witnesses_and_m(capsys):
     assert doc["reg_index"] == 1
     assert doc["witnesses"]
     assert doc["m"] == [1, 1] and doc["m_regular"] is True
+
+
+@pytest.mark.parametrize("m", [[], ["--m", "0," * 19 + "0"]], ids=["plain", "m"])
+def test_regularity_guard_exit(capsys, m):
+    # a box of 3^20 twists j on (P^2)^20, refused before the scan
+    bundle = '{"shape":[%s],"summands":[{"degree":[-1%s]}]}' % (",".join(["2"] * 20), ",0" * 19)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "regularity", "--bundle", bundle, *m)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("E_GUARD: 3486784401 (j, summand) pairs exceed the regularity guard "
+                   "of 100000\n")
 
 
 # ------------------------------------------------------------------------ acm
@@ -130,6 +164,15 @@ def test_koszul_iso(capsys):
     code, out, _ = run(capsys, "koszul", "--shape", "2,2", "--iso")
     assert code == 0
     assert out == '{"pairs":[[1,1],[1,1],[1,1],[1,1]]}\n'
+
+
+@pytest.mark.parametrize("n", [20000, 10**30])
+def test_koszul_guard_exit(capsys, n):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "koszul", "--shape", str(n), "--factor", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"E_GUARD: {n + 2} terms exceed the koszul guard of 3000\n"
 
 
 @pytest.mark.parametrize(
@@ -549,7 +592,7 @@ def table_st(draw):
     columns, values = [], []
     for k in range(draw(st.integers(1, 4))):
         width = draw(st.integers(0, 3))
-        kind = st.integers(-3, 3) | st.sampled_from([10**30, -(10**30)])
+        kind = st.integers(-3, 3) | st.sampled_from([10**30, -(10**30)]) | st.booleans()
         if not width and draw(st.booleans()):
             kind = st.sampled_from(["a", "b", "ab", ""])
         columns.append((f"c{k}", width))
@@ -567,13 +610,14 @@ def test_emit_table_matches_the_flattened_cell_order(table):
 
 # -------------------------------------------------------------------- fuzzing
 #
-# Shapes stay small except for check, which draws up to 20 factors and
-# refuses boxes of more than 10^4 twists j; the coordinates of a degree stay
-# within a few units of one shared offset: the CLI has no work estimate for
-# the other commands yet, and a large shape or gap between coordinates is
-# accepted and runs for as long as its size says.  Boxes, audit bounds and
-# ranks reach past their guards, and one bundle has a 4000-digit degree,
-# whose results are too long for str().
+# Bundles for cohomology, regularity, acm and check have up to 20 factors:
+# the box, regularity and j-box guards refuse the large ones before any work.
+# Audit and koszul shapes have up to 4 factors of dimension at most 3, except
+# a koszul factor of 20000, which the koszul guard refuses.  The coordinates of
+# a degree stay within a few units of one shared offset, as a large gap
+# between coordinates is accepted and runs for as long as its size says.
+# Boxes, audit bounds and ranks reach past their guards, and one bundle has a
+# 4000-digit degree, whose results are too long for str().
 
 HUGE = [10**30, -(10**30), 2**64, -(2**63) - 1, 10**200]
 TOO_MANY_DIGITS = "9" * 4301
@@ -654,8 +698,8 @@ def bundle_json_st(draw, max_factors: int = 3):
 
 
 @st.composite
-def vector_st(draw, small=False):
-    entries = st.lists(st.integers(1, 3) if small else ints_st, min_size=1, max_size=4)
+def vector_st(draw, entry=ints_st):
+    entries = st.lists(entry, min_size=1, max_size=4)
     return mostly(draw, entries.map(lambda v: ",".join(map(str, v))), bad_token_st)
 
 
@@ -674,8 +718,8 @@ def argv_st(draw):
     """One CLI invocation, refused option pairs and bad values included."""
     commands = ["cohomology", "regularity", "acm", "koszul", "check", "audit"]
     command = draw(st.sampled_from(commands * 4 + ["nope", "--help"]))
-    bundle = mostly(draw, bundle_json_st(20 if command == "check" else 3),
-                    st.sampled_from(BUNDLE_FILES))
+    wide = command in ("cohomology", "regularity", "acm", "check")
+    bundle = mostly(draw, bundle_json_st(20 if wide else 3), st.sampled_from(BUNDLE_FILES))
     argv = [command]
     options = []
     if command == "check":
@@ -689,8 +733,10 @@ def argv_st(draw):
                     ("--twist", draw(vector_st()))]
     if command == "regularity":
         options.append(("--m", draw(vector_st())))
-    if command in ("koszul", "audit"):
-        options.append(("--shape", draw(vector_st(small=True))))
+    if command == "koszul":  # a factor of 20000 is past the koszul guard
+        options.append(("--shape", draw(vector_st(st.integers(1, 3) | st.just(20000)))))
+    if command == "audit":
+        options.append(("--shape", draw(vector_st(st.integers(1, 3)))))
     if command == "koszul":
         options += [("--factor", draw(scalar_st([0, 1, 2, 3, 10**30, -(10**30)]))),
                     ("--d", draw(vector_st())), ("--iso", None)]

@@ -220,3 +220,13 @@ def test_pruned_column_costs_no_binom_poly_call(monkeypatch):
         calls.clear()
         assert all(euler_exactness_check(C, w) for w in [(0, 0), (7, -5), (-9, 4)])
         assert calls == []
+
+
+def test_koszul_guard_boundary():
+    # KOSZUL_GUARD terms are built; one more term is refused before any is built
+    n = koszul.KOSZUL_GUARD - 2
+    assert len(koszul_factor_complex((n, 1), 0, (0, 0)).terms) == koszul.KOSZUL_GUARD
+    with pytest.raises(InputError) as e:
+        koszul_factor_complex((1, n + 1), 1, (0, 0))
+    assert (e.value.code, str(e.value)) == (
+        "E_GUARD", f"{koszul.KOSZUL_GUARD + 1} terms exceed the koszul guard of 3000")

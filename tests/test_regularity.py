@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from multicoh import (
     InputError,
+    LineBundleSum,
     Shape,
     acm_closed_form,
     is_acm,
@@ -16,6 +17,7 @@ from multicoh import (
     line_bundle,
     nonvanishing_twist_intervals,
     regularity_index,
+    regularity,
     restrict_factor,
     sum_cohomology_dim,
     twist,
@@ -262,3 +264,15 @@ def test_acm_decided_by_intervals():
     assert not ok
     i, t = witnesses[0]
     assert t in nonvanishing_twist_intervals(E, (0, 0), i)
+
+
+def test_scan_guard_boundary():
+    # 5^5 twists j times 32 distinct summands is the guard's limit; a 33rd summand is refused
+    summands = tuple(((a, 0, 0, 0, 0), 1) for a in range(-1, 32))
+    E = LineBundleSum((4,) * 5, summands[1:])
+    assert 5**5 * len(E.summands) == regularity.SCAN_GUARD
+    assert is_zero_regular(E).regular
+    with pytest.raises(InputError) as e:
+        is_m_regular(LineBundleSum((4,) * 5, summands), (1, 0, 0, 0, 0))
+    assert (e.value.code, str(e.value)) == (
+        "E_GUARD", "103125 (j, summand) pairs exceed the regularity guard of 100000")
