@@ -164,7 +164,9 @@ def _box_hits(E: LineBundleSum, lows, keep) -> dict[tuple[int, Degree, int], int
     phases, and no level of a join holds more than the box, whatever the gaps of a.
     Boxes past JBOX_GUARD twists j are refused with E_GUARD before any join, and more
     than LISTING_GUARD rows (the intervals' lengths, summed per summand) before any tau
-    is expanded.  The dimension at tau is mult times the per-axis binomials.
+    is expanded.  The dimension at tau is mult times the per-axis binomials, computed at
+    first and then stepped: x -> x+1 scales C(x+n_k, n_k) (sections) and C(-x-1, n_k)
+    (top) alike by (x+n_k+1)/(x+1), one multiply and one exact divide per row.
     """
     dims = E.shape.dims
     sides = [1 - lo for lo in lows]
@@ -199,9 +201,16 @@ def _box_hits(E: LineBundleSum, lows, keep) -> dict[tuple[int, Degree, int], int
         raise InputError("E_GUARD", _guard_message(rows, "rows", "listing guard", LISTING_GUARD))
     hits: dict[tuple[int, Degree, int], int] = {}
     for i, j, first, last, degree, mult in runs:
-        for tau in range(first, last + 1):
-            dim = mult * _line_cohomology(dims, [a + x + tau for a, x in zip(degree, j)])[1]
-            hits[i, j, tau] = hits.get((i, j, tau), 0) + dim
+        xs = [a + x + first for a, x in zip(degree, j)]  # each axis's x at tau = first
+        dim = mult * _line_cohomology(dims, xs)[1]
+        for t in range(last - first + 1):
+            if t:  # each axis steps from x + t - 1 to x + t
+                num = den = 1
+                for x, n in zip(xs, dims):
+                    num *= x + n + t
+                    den *= x + t
+                dim = dim * num // den
+            hits[i, j, first + t] = hits.get((i, j, first + t), 0) + dim
     return hits
 
 

@@ -9,9 +9,10 @@ exact complex is zero for every extra twist.
 chi is a product over the axes, so the check sums each column of the
 signed degree multiset along one axis (for a factor complex, its own axis:
 an (n+1)-th finite difference of a degree-n polynomial) before multiplying
-by the other axes' values.  A column sum is a polynomial of degree at most
-n_k in w_k, so a column the checks have seen vanish at n_k+1 distinct w_k
-is zero at every twist, and the complex drops it.
+by the other axes' values.  A column sum depends on w_k alone, so a check
+skips a column already seen to vanish at that w_k.  The sum is a polynomial
+of degree at most n_k in w_k, so a column seen to vanish at n_k+1 distinct
+w_k is zero at every twist, and the complex drops it.
 
 The same resolutions identify each factor's one-dimensional corner
 cohomology H^{n_k} of O(-(n_k+1)*e_k) with the top cohomology of the
@@ -49,6 +50,9 @@ class Complex:
     def __post_init__(self):
         shape, terms = _as_shape(self.shape), tuple(self.terms)
         for term in terms:
+            if not isinstance(term, LineBundleSum):
+                kind = type(term).__name__
+                raise InputError("E_SHAPE", f"complex term {kind} is not a line bundle sum")
             if term.shape != shape:
                 raise InputError("E_SHAPE", "complex terms must share the complex shape")
         object.__setattr__(self, "shape", shape)
@@ -62,6 +66,7 @@ class Complex:
         the entries (a_k, c) whose degrees agree off axis k, keyed by those
         other coordinates rest; roots holds the x = w_k + n_k at which the
         checks found the column's sum zero, or None once it was nonzero.
+        The sum depends on x alone, so a check at an x in roots skips it.
         """
         signed: dict = {}
         for r, term in enumerate(self.terms):
@@ -89,6 +94,8 @@ def koszul_factor_complex(shape, axis: int, d) -> Complex:
     terms are refused with E_GUARD before any term is built.
     """
     shape = _as_shape(shape)
+    if not isinstance(axis, int) or isinstance(axis, bool):
+        raise InputError("E_RANGE", f"factor index must be an integer, got {axis!r}")
     if not 0 <= axis < shape.s:
         raise InputError("E_RANGE", f"factor index {axis} out of range for {shape.s} factors")
     d = _check_vector(shape, d, "degree")
@@ -107,16 +114,29 @@ def euler_exactness_check(C: Complex, extra_twist=None) -> bool:
 
     Each column is summed along its axis (for a factor complex, a finite
     difference); only a nonzero sum is multiplied by the other axes' values.
-    A column whose sum has been zero at n_k+1 distinct w_k is dropped from C.
+    A column already zero at this w_k is skipped, and one whose sum has been
+    zero at n_k+1 distinct w_k is dropped from C.  A tuple of plain ints is
+    taken as the twist as it is; any other twist goes through _check_vector.
     """
     dims = C.shape.dims
-    d = (0,) * len(dims) if extra_twist is None else _check_vector(C.shape, extra_twist, "twist")
+    d = (0,) * len(dims) if extra_twist is None else extra_twist
+    if type(d) is tuple and len(d) == len(dims):
+        for v in d:
+            if type(v) is not int:
+                d = _check_vector(C.shape, d, "twist")
+                break
+    else:
+        d = _check_vector(C.shape, d, "twist")
     k, columns = C._columns
+    if not columns:
+        return True
     n = dims[k]
     x = d[k] + n
     total = 0
     for column in columns[:]:
         rest, entries, roots = column
+        if roots is not None and x in roots:
+            continue
         prod = 0
         for a, c in entries:
             prod += c * binom_poly(a + x, n)

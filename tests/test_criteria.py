@@ -581,6 +581,38 @@ def test_check_join_work_does_not_grow_with_the_gaps(monkeypatch):
     assert len(calls) <= 2 * 10**4
 
 
+def test_check_rows_of_a_large_factor_step_their_dims():
+    # 14,997 rows whose dims have up to 3000 digits: each run computes its binomials once
+    E = line_bundle((4999, 1), (0, -5000))
+    start = time.perf_counter()
+    rows = thm13_violations(E, (0, 0)).rows
+    assert time.perf_counter() - start < 3
+    assert len(rows) == 14997
+    for i, j, tau, dim in rows[:3] + rows[7000:7003] + rows[-3:]:
+        assert dim == sum_cohomology_dim(E, [x + tau for x in j], i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_box_hit_dims_match_line_cohomology(data):
+    """Dimensions stepped along runs of up to about 60 diagonal twists, on sections and
+    top axes alike, against _line_cohomology summed over the summands at each row."""
+    import multicoh.criteria as criteria
+    from multicoh.core import _line_cohomology
+
+    dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3), label="dims"))
+    coord = st.integers(-30, 30)
+    degrees = data.draw(st.lists(st.tuples(*[coord] * len(dims)), min_size=1, max_size=3))
+    E = bundle(dims, *degrees)
+    lows = [data.draw(st.integers(-n, 0), label="low") for n in dims]
+    for (i, j, tau), dim in criteria._box_hits(E, lows, lambda i, j: True).items():
+        want = 0
+        for degree, mult in E.summands:
+            q, d = _line_cohomology(dims, [a + x + tau for a, x in zip(degree, j)])
+            want += mult * d if q == i else 0
+        assert dim == want > 0, (i, j, tau)
+
+
 def test_check_jbox_guard_boundary(monkeypatch):
     import multicoh.criteria as criteria
 

@@ -16,6 +16,7 @@ from multicoh import (
     line_bundle,
     proposition_iso_dims,
 )
+from multicoh.core import _check_vector
 
 from support import all_shapes, euler_by_alternating_sum, shapes_st
 
@@ -48,6 +49,14 @@ def test_bad_axis():
         koszul_factor_complex([2, 2], 2, (0, 0))
     with pytest.raises(InputError):
         koszul_factor_complex([2, 2], -1, (0, 0))
+
+
+@pytest.mark.parametrize("axis", [0.5, 1.0, "0", None, True, False])
+def test_axis_that_is_not_an_int_is_refused(axis):
+    with pytest.raises(InputError) as e:
+        koszul_factor_complex([2, 2], axis, (0, 0))
+    assert (e.value.code, str(e.value)) == (
+        "E_RANGE", f"factor index must be an integer, got {axis!r}")
 
 
 def test_exactness_examples():
@@ -94,6 +103,14 @@ def test_complex_takes_a_plain_shape():
     with pytest.raises(InputError) as e:
         Complex((2, 2), (line_bundle([2], (0,)),))
     assert (e.value.code, str(e.value)) == ("E_SHAPE", "complex terms must share the complex shape")
+
+
+@pytest.mark.parametrize("term", [None, (((0, 0), 1),), [line_bundle([2, 2], (0, 0))], 0])
+def test_complex_refuses_a_term_that_is_not_a_line_bundle_sum(term):
+    with pytest.raises(InputError) as e:
+        Complex((2, 2), (line_bundle([2, 2], (0, 0)), term))
+    assert (e.value.code, str(e.value)) == (
+        "E_SHAPE", f"complex term {type(term).__name__} is not a line bundle sum")
 
 
 def test_complex_stores_a_list_of_terms_as_a_tuple():
@@ -197,8 +214,13 @@ def test_pruned_checks_match_fresh_complexes_and_cohomology(dims, data):
     """
     w = data.draw(st.tuples(*[st.integers(-20, 20)] * len(dims)), label="w")
     C = data.draw(complexes_st(dims, tuple(-x for x in w)), label="C")
-    window = itertools.product(*[range(c - 1, c + n + 1) for c, n in zip(w, dims)])
-    for v in data.draw(st.permutations(list(window)), label="order"):
+    window = list(itertools.product(*[range(c - 1, c + n + 1) for c, n in zip(w, dims)]))
+    # window twists again, some with one coordinate moved far: the column axis's x
+    # repeats under other coordinates, which the skip of known zeros must not change
+    moved = st.tuples(st.sampled_from(window), st.integers(0, len(dims) - 1),
+                      st.integers(-60, 60)).map(lambda m: m[0][:m[1]] + (m[2],) + m[0][m[1] + 1:])
+    again = data.draw(st.lists(st.sampled_from(window) | moved, max_size=12), label="again")
+    for v in data.draw(st.permutations(window), label="order") + again:
         oracle = sum((-1) ** r * euler_by_alternating_sum(T, v) for r, T in enumerate(C.terms))
         fresh = Complex(C.shape, C.terms)
         assert euler_exactness_check(C, v) == euler_exactness_check(fresh, v) == (oracle == 0), v
@@ -220,6 +242,54 @@ def test_pruned_column_costs_no_binom_poly_call(monkeypatch):
         calls.clear()
         assert all(euler_exactness_check(C, w) for w in [(0, 0), (7, -5), (-9, 4)])
         assert calls == []
+
+
+def test_repeated_x_costs_no_binom_poly_call_after_the_first(monkeypatch):
+    # the column of a factor complex along axis 0 depends on w_0 alone
+    calls = []
+    real = koszul.binom_poly
+    monkeypatch.setattr(koszul, "binom_poly", lambda x, n: calls.append(n) or real(x, n))
+    C = koszul_factor_complex((3, 2, 1), 0, (0, 0, 0))
+    for t in range(3):
+        calls.clear()
+        assert euler_exactness_check(C, (t, 0, 0)) and len(calls) == 5
+        calls.clear()
+        for rest in itertools.product(range(-4, 5), range(-3, 4)):
+            assert euler_exactness_check(C, (t,) + rest)
+        assert calls == []
+    assert len(C._columns[1]) == 1
+    # a column seen nonzero is evaluated at every twist
+    C = Complex(Shape((1, 1)), (line_bundle([1, 1], (0, 0)),))
+    calls.clear()
+    assert not euler_exactness_check(C, (0, 0)) and not euler_exactness_check(C, (0, 1))
+    assert len(calls) == 4
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("twist", [
+    [1, -2], [1, 0.5], (0, True), [False, 0], (0, 1.0), (0, "1"), "01", (0, 0, 0), (0,),
+    [0, 0, 0], (_Int(1), -2), [_Int(3), _Int(0)], (None, 0),
+])
+def test_twist_validation_matches_check_vector(twist):
+    # pruned and unpruned complexes, exact and not, refuse or accept a twist alike
+    pruned = koszul_factor_complex((1, 2), 0, (0, 0))
+    for t in range(2):
+        euler_exactness_check(pruned, (t, 0))
+    assert pruned._columns == (0, [])
+    for C in [pruned, koszul_factor_complex((1, 2), 1, (0, 0)),
+              Complex(Shape((1, 2)), (line_bundle([1, 2], (0, 0)),))]:
+        try:
+            v = _check_vector(C.shape, twist, "twist")
+        except InputError as e:
+            with pytest.raises(InputError) as got:
+                euler_exactness_check(C, twist)
+            assert (got.value.code, str(got.value)) == (e.code, str(e))
+        else:
+            fresh = Complex(C.shape, C.terms)
+            assert euler_exactness_check(C, twist) == euler_exactness_check(fresh, tuple(v))
 
 
 def test_koszul_guard_boundary():
