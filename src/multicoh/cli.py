@@ -62,11 +62,18 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+class _SummandTexts(dict):
+    """(degree, mult) -> its JSON text, encoded the first time the pair is looked up."""
+
+    def __missing__(self, pair):
+        text = self[pair] = _dump({"degree": list(pair[0]), "mult": pair[1]})
+        return text
+
+
 def _bundle_texts(shape: Shape, bundles) -> list[str]:
     """bundle_to_json of each bundle on shape, encoding the shape and each distinct summand once."""
     head = '{"shape":%s,"summands":[' % _dump(list(shape.dims))
-    pairs = {pair for E in bundles for pair in E.summands}
-    fragments = {pair: _dump({"degree": list(pair[0]), "mult": pair[1]}) for pair in pairs}
+    fragments = _SummandTexts()
     return [head + ",".join(map(fragments.__getitem__, E.summands)) + "]}" for E in bundles]
 
 
@@ -237,10 +244,10 @@ def _cmd_audit(args) -> int:
         # the bytes of _dump(report.to_json()) and bundle_to_json, each distinct part encoded once
         rows = zip(_bundle_texts(shape, [E for E, _, _ in report.mismatches]), report.mismatches)
         if args.format == "json":
-            flag = {b: _dump(b) for b in (False, True)}
             head = ",".join('"%s":%d' % (name, getattr(report, name)) for name in counts)
-            item = '{"bundle":%s,"hypothesis":%s,"conclusion":%s}'
-            items = [item % (text, flag[hyp], flag[concl]) for text, (_, hyp, concl) in rows]
+            item = {(hyp, concl): '{"bundle":%%s,"hypothesis":%s,"conclusion":%s}' % (
+                _dump(hyp), _dump(concl)) for hyp in (False, True) for concl in (False, True)}
+            items = [item[hyp, concl] % text for text, (_, hyp, concl) in rows]
             print('{%s,"mismatches":[%s]}' % (head, ",".join(items)))
         else:
             print("\n".join(["bundle,hypothesis,conclusion"] + ['"%s",%s,%s' % (

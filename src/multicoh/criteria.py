@@ -31,10 +31,11 @@ and filtered once (see _box_hits).
 
 desk_scale_audit cross-tabulates hypothesis against conclusion over every
 canonical bundle in a degree box up to a rank cap.  On a direct sum both
-sides are ANDs over the summands, so it evaluates each degree once on its
-line bundle, counts the 2x2 table with multiset binomials over the four
-(hypothesis, conclusion) classes, and builds only the mismatches, which it
-reports verbatim.
+sides are ANDs over the summands, and on a line bundle neither side moves
+under a diagonal shift a -> a + l*(1,...,1), so it evaluates one line bundle
+per diagonal class of the box, counts the 2x2 table with multiset binomials
+over the four (hypothesis, conclusion) classes, and builds only the
+mismatches, which it reports verbatim.
 """
 
 from dataclasses import dataclass, field, fields
@@ -420,6 +421,13 @@ def _lemma14_domain(shape: Shape, r) -> None:
 
 # criterion -> (domain and caps check returning the caps, hypothesis, conclusion).  The
 # lambdas look the checks up at call time, so wrappers installed on the module see each one.
+# Every criterion registered here must give the same (hypothesis, conclusion) on O(a) and on
+# O(a + l*(1,...,1)) for every integer l, since desk_scale_audit checks one degree per
+# diagonal class.  These three do: H^i(O(a + l*1)(j + tau*1)) = H^i(O(a)(j + (tau+l)*1)),
+# the hypotheses quantify over every tau, and the exceptional set depends on (i, j, caps)
+# alone, so a shift only relabels tau (for lemma14's condition (b), t = tau).  The forms
+# l*(1,...,1) + c*e_k of thm12 and thm13 leave l free, and lemma14's conclusion reads only
+# the gaps a_i - a_k.
 _CRITERIA = {
     "thm12": (_thm12_domain,
               lambda E, r: thm12_violations(E).empty,
@@ -447,12 +455,13 @@ def desk_scale_audit(
     [-bound, bound]^s and rank <= max_rank (each multiset of degrees once)
     and reports the 2x2 counts of hypothesis against conclusion plus every
     bundle where they disagree, by rank, then in sorted order.  Both sides
-    are ANDs over the summands: each degree is evaluated once on O(a), the
-    counts are multiset binomials over the four (hypothesis, conclusion)
-    classes, and only mismatches are built.  Refuses boxes beyond 10^7
-    candidates or 10^4 degrees before evaluating any degree, and more than
-    10^5 mismatches before building any of them.  jobs is accepted for
-    compatibility and has no effect.
+    are ANDs over the summands and shift-invariant on a line bundle (see
+    _CRITERIA): each diagonal class of the box is evaluated once, on O(a) for
+    its first degree a, the counts are multiset binomials over the four
+    (hypothesis, conclusion) classes, and only mismatches are built.  Refuses
+    boxes beyond 10^7 candidates or 10^4 degrees (not classes) before
+    evaluating any degree, and more than 10^5 mismatches before building any
+    of them.  jobs is accepted for compatibility and has no effect.
     """
     shape = _as_shape(shape)
     if bound < 0 or max_rank < 1:
@@ -479,11 +488,16 @@ def desk_scale_audit(
         )
     if degrees > DEGREE_GUARD:
         raise AuditGuardError(_guard_message(degrees, "degrees", "degree guard", DEGREE_GUARD))
-    # product yields the degrees in lexicographic order, as canonical bundles sort them.
-    flags = {}
+    # product yields the degrees in lexicographic order, as canonical bundles sort them; a
+    # class is keyed by its member with minimum 0 and checked on its first degree in the box.
+    flags, classes = {}, {}
     for a in product(range(-bound, bound + 1), repeat=shape.s):
-        E = LineBundleSum(shape, ((a, 1),))
-        flags[a] = (hypothesis(E, r), conclusion(E, r))
+        low = min(a)
+        key = tuple([x - low for x in a])
+        if key not in classes:
+            E = LineBundleSum(shape, ((a, 1),))
+            classes[key] = (hypothesis(E, r), conclusion(E, r))
+        flags[a] = classes[key]
     both = multisets(sum(h and c for h, c in flags.values()))
     hyp_only = multisets(sum(h for h, _ in flags.values())) - both
     concl_only = multisets(sum(c for _, c in flags.values())) - both
@@ -494,13 +508,17 @@ def desk_scale_audit(
     if listed:
         # Bit 1 is the hypothesis, bit 2 the conclusion, and a bundle's mask is the AND of its
         # degrees': 1 or 2 on a mismatch.  A degree where neither holds is in no mismatch.
-        mask = {a: h + 2 * c for a, (h, c) in flags.items() if h or c}
+        # Combos index the live degrees in product order; each (a, 1) is shared by every
+        # mismatch that holds a once.
+        pairs, bits = zip(*[((a, 1), h + 2 * c) for a, (h, c) in flags.items() if h or c])
         for rho in range(1, max_rank + 1):
-            for combo in combinations_with_replacement(mask, rho):
-                m = reduce(and_, map(mask.__getitem__, combo))
+            for combo in combinations_with_replacement(range(len(pairs)), rho):
+                m = reduce(and_, map(bits.__getitem__, combo))
                 if m == 1 or m == 2:
-                    # a sorted combo merges into canonical summands by counting its runs
-                    summands = tuple((a, len(list(run))) for a, run in groupby(combo))
+                    if len(set(combo)) == rho:
+                        summands = tuple(map(pairs.__getitem__, combo))
+                    else:  # a sorted combo merges into canonical summands by counting its runs
+                        summands = tuple((pairs[i][0], len(list(run))) for i, run in groupby(combo))
                     mismatches.append((_canonical(shape, summands), m == 1, m == 2))
     neither = candidates - both - hyp_only - concl_only
     return AuditReport(candidates, both, hyp_only, concl_only, neither, tuple(mismatches))

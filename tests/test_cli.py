@@ -329,9 +329,10 @@ SQUARE = ["audit", "--shape", "1,1", "--criterion", "lemma14", "--bound", "3", "
 @pytest.mark.parametrize("argv, fmt, digest", [
     (PROBE, "json", "2963307c27b533dde5180325263d9f2458a982673ae11f58b80fccd15c6d74a3"),
     (PROBE, "csv", "666e594ea2871fa947f1914cecb7fc2b98d17546629d7ea4b485f713dd136898"),
+    (PROBE, "table", "0b5c35cba859cc92e4562fb2c05045689fe67ac1df860a78dd739303319cfdd6"),
     (SQUARE, "json", "5163625a0154f9a92f7c6ef5a1eb7b13d36ad5ab7b830c9d0cebd43c98008290"),
     (SQUARE, "csv", "85906a7b170e1347f79bca31cc48cc65504f770a3e63c6f2c057d47b22624049"),
-], ids=["probe-json", "probe-csv", "square-json", "square-csv"])
+], ids=["probe-json", "probe-csv", "probe-table", "square-json", "square-csv"])
 def test_audit_stdout_is_pinned(capsys, argv, fmt, digest):
     # the 3105-row lemma14 probe on (1,1,1) and the clean lemma14 audit on (1,1), byte for byte
     code, out, err = run(capsys, *argv, "--format", fmt)

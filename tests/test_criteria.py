@@ -408,7 +408,7 @@ def test_audit_listing_guard_refuses_before_building_mismatches(monkeypatch):
     assert str(e.value) == (
         f"956790 mismatch rows exceed the listing guard of {criteria.LISTING_GUARD}"
     )
-    assert built == [1] * 7 ** 3  # one line bundle per degree
+    assert built == [1] * (7 ** 3 - 6 ** 3)  # one line bundle per diagonal class
     assert trusted == []  # and no mismatch bundle
 
 
@@ -455,26 +455,30 @@ def test_audit_listing_builds_canonical_bundles(criterion, shape, bound, max_ran
 
 def test_audit_listing_with_every_degree_class(monkeypatch):
     # The forward direction holds for every real criterion, so no degree has the conclusion
-    # alone; a stand-in on P^1 puts degrees in all four classes, and mixes of the two one-sided
-    # classes (AND 0) must be counted and listed as neither.
+    # alone; a stand-in on P^1 x P^1, shift-invariant as _CRITERIA requires, puts degrees in
+    # all four classes, and mixes of the two one-sided classes (AND 0) must be counted and
+    # listed as neither.
     import multicoh.criteria as criteria
 
     def hyp(E, r):
-        return E.summands[0][0][0] <= 0
+        a1, a2 = E.summands[0][0]
+        return a2 - a1 <= 0
 
     def concl(E, r):
-        return 0 <= E.summands[0][0][0] <= 1
+        a1, a2 = E.summands[0][0]
+        return 0 <= a2 - a1 <= 1
 
     monkeypatch.setitem(criteria._CRITERIA, "stand-in", (lambda shape, r: r, hyp, concl))
+    degrees = list(itertools.product(range(-2, 3), repeat=2))
     cells, expected = [0, 0, 0, 0], []
     for rho in range(1, 4):
-        for combo in itertools.combinations_with_replacement(range(-2, 3), rho):
-            E = LineBundleSum((1,), tuple(((a,), 1) for a in combo))
-            h, c = all(a <= 0 for a in combo), all(0 <= a <= 1 for a in combo)
+        for combo in itertools.combinations_with_replacement(degrees, rho):
+            E = LineBundleSum((1, 1), tuple((a, 1) for a in combo))
+            h, c = all(a2 - a1 <= 0 for a1, a2 in combo), all(0 <= a2 - a1 <= 1 for a1, a2 in combo)
             cells[2 * (not h) + (not c)] += 1
             if h != c:
                 expected.append((E, h, c))
-    report = desk_scale_audit((1,), 2, 3, "stand-in")
+    report = desk_scale_audit((1, 1), 2, 3, "stand-in")
     assert [report.both, report.hyp_only, report.concl_only, report.neither] == cells
     assert report.mismatches == tuple(expected)
     assert {(h, c) for _, h, c in expected} == {(True, False), (False, True)}
@@ -657,7 +661,10 @@ def test_audit_totals_match_multiset_count():
     "criterion, shape, bound, max_rank, r",
     [("thm12", (2, 2, 2), 1, 3, None)]
     + [("thm13", (2, 3), 1, 2, r) for r in itertools.product(range(3), range(4))]
-    + [("lemma14", (1, 1, 1), 2, 2, None), ("lemma14", (1, 1), 3, 3, None)],
+    + [("lemma14", (1, 1, 1), 2, 2, None), ("lemma14", (1, 1), 3, 3, None)]
+    # boxes where one diagonal class holds several degrees, under caps too
+    + [("thm13", (2, 3), 2, 1, (1, 2)), ("thm13", (2, 3), 2, 1, (2, 0)),
+       ("thm12", (2, 2), 3, 1, None), ("lemma14", (2, 2, 2), 2, 1, None)],
 )
 def test_audit_matches_brute_force_oracle(criterion, shape, bound, max_rank, r):
     report = desk_scale_audit(shape, bound, max_rank, criterion, r=r)
@@ -694,3 +701,34 @@ def test_criterion_sides_are_additive_over_summands(case):
     hyp_e, concl_e = criterion_sides(E, criterion, r)
     hyp_f, concl_f = criterion_sides(F, criterion, r)
     assert criterion_sides(E + F, criterion, r) == (hyp_e and hyp_f, concl_e and concl_f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(criterion_pairs_st(), st.integers(-10**6, 10**6))
+def test_criterion_sides_are_invariant_under_diagonal_shift(case, ell):
+    # desk_scale_audit checks one degree per diagonal class on the strength of this identity.
+    criterion, r, E, _ = case
+    shifted = LineBundleSum(E.shape, tuple((tuple(x + ell for x in a), m) for a, m in E.summands))
+    assert criterion_sides(shifted, criterion, r) == criterion_sides(E, criterion, r)
+
+
+@pytest.mark.parametrize("criterion, shape, bound, r", [
+    ("thm12", (2, 2, 2), 1, None), ("thm12", (2, 2), 3, None), ("thm13", (2, 3), 2, (1, 2)),
+    ("lemma14", (1, 1, 1), 2, None), ("lemma14", (3,) * 4, 1, None),
+])
+def test_audit_checks_each_diagonal_class_once(monkeypatch, criterion, shape, bound, r):
+    import multicoh.criteria as criteria
+
+    seen = []
+    domain, hyp, concl = criteria._CRITERIA[criterion]
+
+    def counting(E, r):
+        seen.append(E.summands)
+        return hyp(E, r)
+
+    monkeypatch.setitem(criteria._CRITERIA, criterion, (domain, counting, concl))
+    desk_scale_audit(shape, bound, 2, criterion, r=r)
+    s = len(shape)
+    assert len(seen) == (2 * bound + 1) ** s - (2 * bound) ** s
+    # each on the degree of its class that comes first in the box, the one with minimum -bound
+    assert [min(summands[0][0]) for summands in seen] == [-bound] * len(seen)
