@@ -231,9 +231,7 @@ def _cmd_check(args) -> int:
 def _cmd_audit(args) -> int:
     shape = Shape(_int_vector(args.shape, "--shape"))
     r = _int_vector(args.r, "--r") if args.r else None
-    report = criteria.desk_scale_audit(
-        shape, args.bound, args.max_rank, args.criterion, r=r, jobs=args.jobs
-    )
+    report = criteria.desk_scale_audit(shape, args.bound, args.max_rank, args.criterion, r=r)
     counts = ("total", "both", "hyp_only", "concl_only", "neither")
     if args.format == "table":
         lines = [f"{name}: {getattr(report, name)}" for name in counts]

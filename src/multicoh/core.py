@@ -15,11 +15,15 @@ combined across factors by the Kunneth formula.  Each factor is in one
 of three states: sections (a_i >= 0), top (a_i <= -n_i-1) or dead.  One
 dead factor kills every Kunneth term, and otherwise exactly one term
 survives, so O(a) has cohomology in the single degree sum(n_i over the
-top factors) or in none.  Along a diagonal ray O(a + tau*(1,...,1)) a
-factor is top, then dead on its band -a_i-n_i <= tau <= -a_i-1, then in
-sections, so walking the sorted dead bands splits the ray into at most
-s+1 pieces of constant degree.  All arithmetic is exact (Python
-integers); nothing here floats.
+top factors) or in none.  Every box and ray query joins these per-axis
+states, in one of two ways.  _box_rows joins them over a box of twists d
+and lists each nonzero H^t(E(d)); cohomology tables and the 0-regularity
+witnesses read it.  _diagonal_runs joins them over a box of twists j, at
+most n_k+1 wide on axis k, along the diagonal ray j + tau*(1,...,1), one
+phase of tau at a time, and lists runs: a j with the one interval of tau
+where a summand has H^i != 0, for the intermediate degrees 0 < i < dim X.
+The criteria, the aCM test and the nonvanishing-twist intervals read it.
+All arithmetic is exact (Python integers); nothing here floats.
 """
 
 import json
@@ -214,8 +218,9 @@ def kunneth_dim(shape, a, t: int) -> int:
     return dim if q == t else 0
 
 
-def _sum_dim(E: LineBundleSum, d, t: int) -> int:
-    """dim H^t(E(d)) for a twist d already checked against E.shape."""
+def sum_cohomology_dim(E: LineBundleSum, d, t: int) -> int:
+    """dim H^t(E(d)) for a twist vector d."""
+    d = _check_vector(E.shape, d, "twist")
     dims = E.shape.dims
     total = 0
     for degree, mult in E.summands:
@@ -223,11 +228,6 @@ def _sum_dim(E: LineBundleSum, d, t: int) -> int:
         if q == t:
             total += mult * dim
     return total
-
-
-def sum_cohomology_dim(E: LineBundleSum, d, t: int) -> int:
-    """dim H^t(E(d)) for a twist vector d."""
-    return _sum_dim(E, _check_vector(E.shape, d, "twist"), t)
 
 
 def binom_poly(x: int, n: int) -> int:
@@ -309,41 +309,71 @@ def restrict_factor(E: LineBundleSum, axis: int) -> LineBundleSum:
 def nonvanishing_twist_intervals(E: LineBundleSum, j, t: int) -> IntervalSet:
     """Exact set of integers tau with H^t(E(j + tau*(1,...,1))) != 0.
 
-    The union of the degree-t pieces of the breakpoint walk (_ray_pieces)
-    over the summands.  At t = 0 the result is a half line unbounded
-    above; at t = total_dim a half line unbounded below.  Half lines are
-    kept explicit as intervals with a None endpoint, never truncated.
+    A summand O(a) has sections exactly for tau >= max_k(-a_k-j_k) and top
+    cohomology exactly for tau <= min_k(-a_k-j_k-n_k-1), so t = 0 gives one
+    half line unbounded above per summand and t = total_dim one unbounded
+    below, kept explicit as intervals with a None endpoint, never truncated.
+    An intermediate t is the union of the degree-t runs of E(j) at j = 0
+    (_diagonal_runs), all bounded.
     """
     shape = E.shape
-    j = _check_vector(shape, j, "twist")
+    F = twist(E, j)
     if not 0 <= t <= shape.total_dim:
         raise InputError("E_RANGE", f"cohomological degree {t} outside [0, {shape.total_dim}]")
-    return IntervalSet(tuple((lo, hi) for q, lo, hi in _ray_pieces(E, j) if q == t))
+    if t == 0:
+        parts = [(max(-a for a in degree), None) for degree, _ in F.summands]
+    elif t == shape.total_dim:
+        parts = [(None, min(-a - n - 1 for a, n in zip(degree, shape.dims)))
+                 for degree, _ in F.summands]
+    else:
+        parts = [(first, last) for i, _, first, last, _, _ in _diagonal_runs(F, (0,) * shape.s)
+                 if i == t]
+    return IntervalSet(tuple(parts))
 
 
-def _ray_pieces(E: LineBundleSum, j) -> list[tuple[int, int | None, int | None]]:
-    """Every (t, lo, hi) where a summand of E(j + tau*(1,...,1)) has H^t != 0.
+def _diagonal_runs(E: LineBundleSum, lows):
+    """Every run (i, j, first, last, degree, mult): the summand O(degree), of multiplicity
+    mult, has H^i(O(degree + j + tau*(1,...,1))) != 0 exactly for first <= tau <= last,
+    over the box lows_k <= j_k <= 0 (lows_k >= -n_k) and the degrees 0 < i < dim X.
 
-    With b_i = -a_i - j_i, factor i of O(a) is top for tau <= b_i-n_i-1,
-    dead on the band [b_i-n_i, b_i-1] and in sections for tau >= b_i.
-    Between consecutive dead bands no factor is dead, the factors whose
-    band lies ahead are top, and the degree is the sum of their n_i; it
-    falls from total_dim on the first piece (lo None) to 0 on the last
-    (hi None).  Pieces of one summand are nonempty and never adjacent.
+    Per summand O(a), cell (k, x), factor k at j_k = x, is top for tau <= -a_k-x-n_k-1,
+    dead up to -a_k-x-1 and in sections from -a_k-x on.  A top cell (x < -a_k-tau-n_k)
+    and a sections cell (x >= -a_k-tau) lie more than n_k apart, further than any two
+    j_k of the box, so axis k has top cells only for tau < e_k = -a_k-lows_k-n_k and
+    sections cells only for tau >= -a_k >= e_k.  Window: 0 < i < dim X needs a sections
+    axis and a top axis, so -max a <= tau < max e.  Phases: the window is cut at every
+    -a_k inside it, so no axis turns to sections inside a phase.  An axis with neither
+    kind of cell at the start of a phase has none to its end.  Otherwise each axis is
+    top (T) or sections (S) throughout, except that a T axis may run out of top cells
+    at e_k, and every j's interval ends before that.  So i = sum(n_k over T) is constant
+    where j is live, and j is live at tau iff tau <= -a_k-j_k-n_k-1 on T and
+    tau >= -a_k-j_k on S: one interval, which the join of the axes' cells carries,
+    dropping j once it is empty.  A summand has at most s phases, each yields a j at
+    most once, and no level of a join holds more than the box, whatever the gaps of a;
+    callers bound the box.
     """
     dims = E.shape.dims
-    total = E.shape.total_dim
-    pieces = []
-    for degree, _ in E.summands:
-        t = total
-        cursor = None  # the first tau past every band walked so far
-        for lo, hi, n in sorted((-a - x - n, -a - x - 1, n) for a, x, n in zip(degree, j, dims)):
-            if cursor is None or lo > cursor:
-                pieces.append((t, cursor, lo - 1))
-            t -= n
-            cursor = hi + 1 if cursor is None else max(cursor, hi + 1)
-        pieces.append((0, cursor, None))
-    return pieces
+    for degree, mult in E.summands:
+        ends = [-a - lo - n for a, lo, n in zip(degree, lows, dims)]
+        right = max(ends)  # the window ends where the last axis runs out of top cells
+        cuts = sorted({right, *(-a for a in degree if -a < right)})
+        for start, stop in zip(cuts, cuts[1:]):
+            i, live = 0, [((), start, stop - 1)]  # j so far, first and last tau it is live at
+            for a, lo, n, end in zip(degree, lows, dims, ends):
+                if start < end:  # top: cell x until u = -a-x-n-1
+                    i += n
+                    cells = [(x, -a - x - n - 1) for x in range(lo, min(0, -a - n - 1 - start) + 1)]
+                    live = [(j + (x,), first, u if u < last else last)
+                            for j, first, last in live for x, u in cells if u >= first]
+                elif start >= -a:  # sections: cell x from v = -a-x on
+                    cells = [(x, -a - x) for x in range(max(lo, -a - stop + 1), 1)]
+                    live = [(j + (x,), v if v > first else first, last)
+                            for j, first, last in live for x, v in cells if v <= last]
+                else:
+                    break
+            else:
+                for j, first, last in live:
+                    yield i, j, first, last, degree, mult
 
 
 @dataclass(frozen=True)
@@ -362,7 +392,23 @@ class CohomologyTable:
 
 
 def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
-    """Tabulate every nonzero H^t(E(d)) for d in the box [-bound, bound]^s.
+    """Tabulate every nonzero H^t(E(d)) for d in the box [-bound, bound]^s (see _box_rows).
+
+    Boxes of more than BOX_GUARD twists are refused with E_GUARD before any work.
+    """
+    if bound < 0:
+        raise InputError("E_RANGE", f"box bound must be >= 0, got {bound}")
+    shape = E.shape
+    side = 2 * bound + 1
+    twists = side ** shape.s if (side.bit_length() - 1) * shape.s <= COUNT_BITS else None
+    if twists is None or twists > BOX_GUARD:
+        raise InputError("E_GUARD", _guard_message(twists, "twists", "box guard", BOX_GUARD))
+    return CohomologyTable(shape, tuple(_box_rows(E, [range(-bound, bound + 1)] * shape.s, twists)))
+
+
+def _box_rows(E: LineBundleSum, ranges, twists: int) -> list[tuple[int, Degree, int]]:
+    """Every (t, d, dim H^t(E(d))) with a nonzero dim, d in the product of the ranges (one
+    per axis, twists of d in all), sorted by (t, d).
 
     The box is a product of axes, and a line bundle's state is decided factor
     by factor: on each axis a summand O(a) has live cells (x, q, c), q = 0 and
@@ -372,27 +418,19 @@ def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
     cells axis by axis, dim starting at the multiplicity, lists its nonzero
     entries and nothing else.  The key t * twists + (d's position in the
     lexicographic box) orders rows as (t, d) and is linear in the cells: axis
-    k's cell carries (x+B) * side^(s-1-k), plus n_k * twists at the top, so
-    the join adds keys and multiplies dims.  Summands merge on the key and are
-    sorted once.  Boxes of more than BOX_GUARD twists are refused with E_GUARD
-    before any work.
+    k's cell carries its mixed-radix digit (x - start_k) times the product of
+    the later axes' lengths, plus n_k * twists at the top, so the join adds
+    keys and multiplies dims.  Summands merge on the key and are sorted once.
     """
-    if bound < 0:
-        raise InputError("E_RANGE", f"box bound must be >= 0, got {bound}")
-    shape = E.shape
-    side = 2 * bound + 1
-    twists = side ** shape.s if (side.bit_length() - 1) * shape.s <= COUNT_BITS else None
-    if twists is None or twists > BOX_GUARD:
-        raise InputError("E_GUARD", _guard_message(twists, "twists", "box guard", BOX_GUARD))
-    xs = range(-bound, bound + 1)
+    dims = E.shape.dims
     merged: dict[int, int] = {}  # t * twists + position of d -> dim
     for degree, mult in E.summands:
         partial = [(0, mult)]
         scale = twists
-        for a, n in zip(degree, shape.dims):
-            scale //= side
-            cells = [((x + bound) * scale, comb(a + x + n, n)) if a + x >= 0 else
-                     ((x + bound) * scale + n * twists, comb(-a - x - 1, n))
+        for a, n, xs in zip(degree, dims, ranges):
+            scale //= len(xs)
+            cells = [((x - xs.start) * scale, comb(a + x + n, n)) if a + x >= 0 else
+                     ((x - xs.start) * scale + n * twists, comb(-a - x - 1, n))
                      for x in xs if not -n <= a + x <= -1]
             partial = [(key + k, dim * c) for key, dim in partial for k, c in cells]
         if merged:
@@ -401,9 +439,8 @@ def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
         else:
             merged = dict(partial)
     del partial  # the last join, up to one pair per twist, is not held while rows are built
-    box = list(product(xs, repeat=shape.s))
-    rows = [(key // twists, box[key % twists], merged[key]) for key in sorted(merged)]
-    return CohomologyTable(shape, tuple(rows))
+    box = list(product(*ranges))
+    return [(key // twists, box[key % twists], merged[key]) for key in sorted(merged)]
 
 
 def bundle_to_doc(E: LineBundleSum) -> dict:

@@ -24,10 +24,8 @@ The balanced-power criterion (lemma14) lives on (P^n)^s and bounds the
 pairwise gaps of every summand degree by n.
 
 A hypothesis is checked per summand over its whole box of twists j: the
-diagonal twists where it can fail are cut into phases on which no factor
-turns from top to sections cohomology, and on each phase the per-axis cells
-are joined into the (i, j) with H^i != 0, each with its interval of twists,
-and filtered once (see _box_hits).
+runs of core._diagonal_runs give each (i, j) with H^i != 0 together with its
+interval of diagonal twists, and each is filtered once (see _box_hits).
 
 desk_scale_audit cross-tabulates hypothesis against conclusion over every
 canonical bundle in a degree box up to a rank cap.  On a direct sum both
@@ -53,6 +51,7 @@ from .core import (
     _as_shape,
     _canonical,
     _check_vector,
+    _diagonal_runs,
     _guard_message,
     _line_cohomology,
     bundle_to_doc,
@@ -147,57 +146,22 @@ class ViolationReport:
 
 def _box_hits(E: LineBundleSum, lows, keep) -> dict[tuple[int, Degree, int], int]:
     """{(i, j, tau): dim H^i(E(j + tau*(1,...,1))) != 0} over the box lows_k <= j_k <= 0
-    (lows_k >= -n_k) and the degrees 0 < i < dim X with keep(i, j).
+    (lows_k >= -n_k) and the degrees 0 < i < dim X with keep(i, j), from the runs of
+    core._diagonal_runs; keep is called once per run.
 
-    Per summand O(a), cell (k, x), factor k at j_k = x, is top for tau <= -a_k-x-n_k-1,
-    dead up to -a_k-x-1 and in sections from -a_k-x on.  A top cell (x < -a_k-tau-n_k)
-    and a sections cell (x >= -a_k-tau) lie more than n_k apart, further than any two
-    j_k of the box, so axis k has top cells only for tau < e_k = -a_k-lows_k-n_k and
-    sections cells only for tau >= -a_k >= e_k.  Window: 0 < i < dim X needs a sections
-    axis and a top axis, so -max a <= tau < max e.  Phases: the window is cut at every
-    -a_k inside it, so no axis turns to sections inside a phase.  An axis with neither
-    kind of cell at the start of a phase has none to its end.  Otherwise each axis is
-    top (T) or sections (S) throughout, except that a T axis may run out of top cells
-    at e_k, and every j's interval ends before that.  So i = sum(n_k over T) is constant
-    where j is live, and j is live at tau iff tau <= -a_k-j_k-n_k-1 on T and
-    tau >= -a_k-j_k on S: one interval, which the join of the axes' cells carries,
-    dropping j once it is empty.  keep runs once per live j of a phase, on at most s
-    phases, and no level of a join holds more than the box, whatever the gaps of a.
     Boxes past JBOX_GUARD twists j are refused with E_GUARD before any join, and more
-    than LISTING_GUARD rows (the intervals' lengths, summed per summand) before any tau
-    is expanded.  The dimension at tau is mult times the per-axis binomials, computed at
-    first and then stepped: x -> x+1 scales C(x+n_k, n_k) (sections) and C(-x-1, n_k)
-    (top) alike by (x+n_k+1)/(x+1), one multiply and one exact divide per row.
+    than LISTING_GUARD rows (the kept runs' lengths, summed) before any tau is expanded.
+    The dimension at tau is mult times the per-axis binomials, computed at first and
+    then stepped: x -> x+1 scales C(x+n_k, n_k) (sections) and C(-x-1, n_k) (top)
+    alike by (x+n_k+1)/(x+1), one multiply and one exact divide per row.
     """
     dims = E.shape.dims
     sides = [1 - lo for lo in lows]
     box = prod(sides) if max(sides).bit_length() * len(sides) <= COUNT_BITS else None
     if box is None or box > JBOX_GUARD:
         raise InputError("E_GUARD", _guard_message(box, "twists j", "j-box guard", JBOX_GUARD))
-    runs, rows = [], 0  # (i, j, first, last, degree, mult) per kept j of a phase, their row count
-    for degree, mult in E.summands:
-        ends = [-a - lo - n for a, lo, n in zip(degree, lows, dims)]
-        right = max(ends)  # the window ends where the last axis runs out of top cells
-        cuts = sorted({right, *(-a for a in degree if -a < right)})
-        for start, stop in zip(cuts, cuts[1:]):
-            i, live = 0, [((), start, stop - 1)]  # j so far, first and last tau it is live at
-            for a, lo, n, end in zip(degree, lows, dims, ends):
-                if start < end:  # top: cell x until u = -a-x-n-1
-                    i += n
-                    cells = [(x, -a - x - n - 1) for x in range(lo, min(0, -a - n - 1 - start) + 1)]
-                    live = [(j + (x,), first, u if u < last else last)
-                            for j, first, last in live for x, u in cells if u >= first]
-                elif start >= -a:  # sections: cell x from v = -a-x on
-                    cells = [(x, -a - x) for x in range(max(lo, -a - stop + 1), 1)]
-                    live = [(j + (x,), v if v > first else first, last)
-                            for j, first, last in live for x, v in cells if v <= last]
-                else:
-                    break
-            else:
-                for j, first, last in live:
-                    if keep(i, j):
-                        rows += last - first + 1
-                        runs.append((i, j, first, last, degree, mult))
+    runs = [run for run in _diagonal_runs(E, lows) if keep(run[0], run[1])]
+    rows = sum(last - first + 1 for _, _, first, last, _, _ in runs)
     if rows > LISTING_GUARD:
         raise InputError("E_GUARD", _guard_message(rows, "rows", "listing guard", LISTING_GUARD))
     hits: dict[tuple[int, Degree, int], int] = {}
@@ -447,7 +411,6 @@ def desk_scale_audit(
     max_rank: int,
     criterion: str,
     r=None,
-    jobs: int = 1,
 ) -> AuditReport:
     """Cross-tabulate a criterion over every canonical bundle in a box.
 
@@ -461,7 +424,7 @@ def desk_scale_audit(
     (hypothesis, conclusion) classes, and only mismatches are built.  Refuses
     boxes beyond 10^7 candidates or 10^4 degrees (not classes) before
     evaluating any degree, and more than 10^5 mismatches before building any
-    of them.  jobs is accepted for compatibility and has no effect.
+    of them.
     """
     shape = _as_shape(shape)
     if bound < 0 or max_rank < 1:

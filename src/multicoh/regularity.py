@@ -2,18 +2,18 @@
 
 A bundle E is 0-regular when H^t(E(j)) = 0 for every t >= 1 and every
 twist j with j_1 + ... + j_s = -t and -n_i <= j_i <= 0; it is m-regular
-when E(m) is 0-regular.  The 0-regularity test scans that box directly.
-For sums of line bundles, O(a) is 0-regular exactly when a >= 0
-componentwise and E is 0-regular exactly when every summand is, so the
-regularity index is a closed form and needs no scan at all.
+when E(m) is 0-regular.  The 0-regularity test reads the nonzero
+H^t(E(j)) over that box from core._box_rows, the join of per-axis cells,
+and keeps those with t = -sum(j) >= 1.  For sums of line bundles, O(a) is
+0-regular exactly when a >= 0 componentwise and E is 0-regular exactly when
+every summand is, so the regularity index is a closed form.
 
 E is aCM here when H^i(E(t, ..., t)) vanishes for every 0 < i < dim and
-every integer t, decided exactly by one breakpoint walk of the diagonal
-ray: an intermediate degree lives on bounded pieces only.
+every integer t, decided exactly by the runs of core._diagonal_runs at
+j = 0: an intermediate degree lives on bounded runs only.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
 from math import prod
 
 from .core import (
@@ -23,13 +23,13 @@ from .core import (
     LineBundleSum,
     _as_shape,
     _check_vector,
+    _box_rows,
+    _diagonal_runs,
     _guard_message,
-    _ray_pieces,
-    _sum_dim,
     twist,
 )
 
-SCAN_GUARD = 100_000  # (j, summand) pairs a 0-regularity scan may evaluate: about 0.2 s
+SCAN_GUARD = 100_000  # (j, summand) pairs a 0-regularity join may cover
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,10 @@ class RegularityVerdict:
 
 
 def is_zero_regular(E: LineBundleSum) -> RegularityVerdict:
-    """Scan the defining box; witnesses list every (t, j, dim) with H^t(E(j)) != 0, sorted.
+    """Witnesses list every (t, j, dim) with H^t(E(j)) != 0 in the defining box, sorted.
 
-    The scan evaluates every distinct summand at every twist j of the box, so
-    more than SCAN_GUARD such pairs are refused with E_GUARD before any of them.
+    The join covers every distinct summand at every twist j of the box, so more
+    than SCAN_GUARD such pairs are refused with E_GUARD before any of them.
     """
     sides = [n + 1 for n in E.shape.dims]
     box = prod(sides) if max(sides).bit_length() * len(sides) <= COUNT_BITS else None
@@ -61,15 +61,9 @@ def is_zero_regular(E: LineBundleSum) -> RegularityVerdict:
     if pairs is None or pairs > SCAN_GUARD:
         raise InputError(
             "E_GUARD", _guard_message(pairs, "(j, summand) pairs", "regularity guard", SCAN_GUARD))
-    witnesses = []
-    for j in product(*[range(-n, 1) for n in E.shape.dims]):
-        t = -sum(j)
-        if t >= 1:
-            dim = _sum_dim(E, j, t)
-            if dim:
-                witnesses.append((t, j, dim))
-    witnesses.sort()
-    return RegularityVerdict(not witnesses, tuple(witnesses))
+    rows = _box_rows(E, [range(-n, 1) for n in E.shape.dims], box)
+    witnesses = tuple(row for row in rows if row[0] == -sum(row[1]) >= 1)
+    return RegularityVerdict(not witnesses, witnesses)
 
 
 def is_m_regular(E: LineBundleSum, m) -> RegularityVerdict:
@@ -102,11 +96,9 @@ def is_acm(E: LineBundleSum) -> tuple[bool, tuple[tuple[int, int], ...]]:
     Returns (acm, witnesses); each witness is one (i, t), t the least
     twist with H^i(E(t, ..., t)) != 0, for an intermediate degree 0 < i < dim.
     """
-    shape = E.shape
     first: dict[int, int] = {}
-    for i, lo, _ in _ray_pieces(E, (0,) * shape.s):
-        if 0 < i < shape.total_dim:
-            first[i] = min(lo, first.get(i, lo))
+    for i, _, lo, _, _, _ in _diagonal_runs(E, (0,) * E.shape.s):
+        first[i] = min(lo, first.get(i, lo))
     witnesses = tuple(sorted(first.items()))
     return (not witnesses, witnesses)
 

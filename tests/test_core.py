@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
 from math import factorial
@@ -28,12 +29,13 @@ from multicoh import (
     sum_cohomology_dim,
     twist,
 )
-from multicoh.core import _canonical
+from multicoh.core import _canonical, _diagonal_runs
 
 from support import (
     bundles_st,
     count_monomials,
     count_monomials_literal,
+    degree_coord,
     euler_by_alternating_sum,
     h0_oracle,
     kunneth_oracle,
@@ -354,6 +356,40 @@ def test_intervals_twist_shift(E, c, data):
     for t in range(E.shape.total_dim + 1):
         got = nonvanishing_twist_intervals(E, moved, t).parts
         assert got == _shift(nonvanishing_twist_intervals(E, j, t).parts, -c)
+
+
+@st.composite
+def runs_case_st(draw):
+    """A bundle on up to 4 factors with its multiplicities, and a box lows in [-n_k, 0]."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="dims"))
+    degrees = draw(st.lists(st.tuples(*[degree_coord] * len(dims)), min_size=1, max_size=3))
+    mults = st.integers(1, 2)
+    E = LineBundleSum(dims, tuple((degree, draw(mults)) for degree in degrees))
+    return E, tuple(draw(st.integers(-n, 0), label="low") for n in dims)
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs_case_st())
+def test_diagonal_runs_match_kunneth_scan(case):
+    """Every (degree, i, j, tau) with 0 < i < dim X and H^i != 0 on the summand lies in
+    exactly one run, no run holds a tau where it vanishes, and (degree, i, j) names one run."""
+    E, lows = case
+    dims, total = E.shape.dims, E.shape.total_dim
+    runs = list(_diagonal_runs(E, lows))
+    assert len({(degree, i, j) for i, j, _, _, degree, _ in runs}) == len(runs)
+    held = Counter()
+    for i, j, first, last, degree, mult in runs:
+        assert 0 < i < total and first <= last and (degree, mult) in E.summands
+        held.update((degree, i, j, tau) for tau in range(first, last + 1))
+    assert set(held.values()) <= {1}
+    nonzero = set()
+    for j in itertools.product(*[range(lo, 1) for lo in lows]):
+        for tau in scan_window(E, j):
+            for degree, _ in E.summands:
+                a = [x + y + tau for x, y in zip(degree, j)]
+                nonzero.update((degree, i, j, tau) for i in range(1, total)
+                               if kunneth_oracle(dims, a, i))
+    assert set(held) == nonzero
 
 
 # ------------------------------------------------------------------- tables

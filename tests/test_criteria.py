@@ -343,12 +343,6 @@ def test_audit_lemma14_line_square():
     assert report.clean and report.total == 25
 
 
-def test_audit_jobs_merge_identical():
-    a = desk_scale_audit((2, 2), 1, 2, "thm12", jobs=1)
-    b = desk_scale_audit((2, 2), 1, 2, "thm12", jobs=2)
-    assert a == b
-
-
 def test_audit_json_shape():
     doc = desk_scale_audit((2, 2), 1, 1, "thm12").to_json()
     assert list(doc) == ["total", "both", "hyp_only", "concl_only", "neither",

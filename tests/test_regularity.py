@@ -23,7 +23,7 @@ from multicoh import (
     twist,
 )
 
-from support import bundles_st, kunneth_oracle
+from support import bundles_st, degree_coord, kunneth_oracle, scan_window
 
 
 def zero_regular_brute(E):
@@ -176,6 +176,22 @@ def acm_brute(E, window=12):
             if sum_cohomology_dim(E, (c,) * E.shape.s, i):
                 return False
     return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_acm_witnesses_are_the_least_twist_per_degree(data):
+    # the intermediate degrees need a sections and a top factor, so they live inside the window
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5), label="dims"))
+    degrees = data.draw(st.lists(st.tuples(*[degree_coord] * len(dims)), min_size=2, max_size=4))
+    E = LineBundleSum(dims, tuple((degree, 1) for degree in degrees))
+    least = {}
+    for t in scan_window(E, (0,) * len(dims)):
+        for i in range(1, E.shape.total_dim):
+            if i not in least and any(kunneth_oracle(dims, [a + t for a in degree], i)
+                                      for degree, _ in E.summands):
+                least[i] = t
+    assert is_acm(E) == (not least, tuple(sorted(least.items())))
 
 
 def test_acm_examples():

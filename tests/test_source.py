@@ -32,6 +32,38 @@ def test_unused_import_scan():
     assert unused_imports(source) == ["gcd", "j"]
 
 
+def dead_private_functions(sources: dict[str, str]) -> list[str]:
+    """'module.name' of each module-level private function that no module's code reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        f"{name}.{node.name}" for name, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.endswith("__") and node.name not in read
+    )
+
+
+def test_no_dead_private_functions():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_private_functions(sources) == []
+
+
+def test_dead_private_function_scan():
+    sources = {
+        "a": "def _used(): pass\ndef _stranded(): pass\ndef _by_attr(): pass\n"
+             "def __getattr__(name): pass\ndef public(): pass\n",
+        "b": "from a import _used\nimport a\n_used()\na._by_attr()\n"
+             "def _nested_caller():\n    def _inner(): pass\n    return _inner\n_stranded = 1\n",
+    }
+    assert dead_private_functions(sources) == ["a._stranded", "b._nested_caller"]
+
+
 def trusted_sites(source: str) -> list[str]:
     """The innermost function around each object.__new__(LineBundleSum, ...) call."""
     tree = ast.parse(source)
