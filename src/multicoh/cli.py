@@ -124,6 +124,8 @@ def _cmd_cohomology(args) -> int:
         raise InputError("E_USAGE", "cohomology needs --t or --box")
     if args.t is not None and args.box is not None:
         raise InputError("E_USAGE", "--t and --box cannot be combined")
+    if args.twist is not None and args.box is not None:
+        raise InputError("E_USAGE", "--twist and --box cannot be combined")
     if args.t is not None:
         d = _int_vector(args.twist, "--twist") if args.twist else (0,) * s
         rows = [(args.t, d, sum_cohomology_dim(E, d, args.t))]

@@ -27,15 +27,17 @@ All arithmetic is exact (Python integers); nothing here floats.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from .intervals import IntervalSet
 
 Degree = tuple[int, ...]
 
 BOX_GUARD = 1_000_000  # twists a cohomology table may cover, (2B+1)^s
+TABLE_GUARD = 10_000_000  # (twist, summand) pairs a table may join: a few seconds of join
 COUNT_BITS = 1 << 18  # guards work out a count only below about this many bits: past all limits
 
 
@@ -47,14 +49,28 @@ class InputError(ValueError):
         self.code = code
 
 
-def _guard_message(count: int | None, what: str, guard: str, limit: int) -> str:
-    """'<count> <what> exceed the <guard> of <limit>', the count reading 'more than <limit>'
-    when it is None (not worked out) or too long for str()."""
+def _box_size(sides: list[int]) -> int | None:
+    """prod(sides), or None once sum(side.bit_length() - 1) exceeds COUNT_BITS (the product
+    has more bits).  Past 64 sides, equal sides are raised to a power, not multiplied one by one."""
+    if sum(map(int.bit_length, sides)) - len(sides) > COUNT_BITS:
+        return None
+    if len(sides) <= 64:
+        return prod(sides)
+    return prod(side ** count for side, count in Counter(sides).items())
+
+
+def _refuse_past(count: int | None, limit: int, what: str, guard: str, error=None) -> int:
+    """count if it is at most limit; otherwise, or if it is None (not worked out), raise E_GUARD
+    (error(message) if given) with '<count> <what> exceed the <guard> of <limit>', the count
+    reading 'more than <limit>' if None or too long for str().  All E_GUARD refusals come here."""
+    if count is not None and count <= limit:
+        return count
     try:
         shown = f"more than {limit}" if count is None else str(count)
     except ValueError:
         shown = f"more than {limit}"
-    return f"{shown} {what} exceed the {guard} of {limit}"
+    message = f"{shown} {what} exceed the {guard} of {limit}"
+    raise InputError("E_GUARD", message) if error is None else error(message)
 
 
 @dataclass(frozen=True)
@@ -394,15 +410,13 @@ class CohomologyTable:
 def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
     """Tabulate every nonzero H^t(E(d)) for d in the box [-bound, bound]^s (see _box_rows).
 
-    Boxes of more than BOX_GUARD twists are refused with E_GUARD before any work.
+    Refuses more than BOX_GUARD twists or TABLE_GUARD (twist, summand) pairs before any work.
     """
     if bound < 0:
         raise InputError("E_RANGE", f"box bound must be >= 0, got {bound}")
     shape = E.shape
-    side = 2 * bound + 1
-    twists = side ** shape.s if (side.bit_length() - 1) * shape.s <= COUNT_BITS else None
-    if twists is None or twists > BOX_GUARD:
-        raise InputError("E_GUARD", _guard_message(twists, "twists", "box guard", BOX_GUARD))
+    twists = _refuse_past(_box_size([2 * bound + 1] * shape.s), BOX_GUARD, "twists", "box guard")
+    _refuse_past(twists * len(E.summands), TABLE_GUARD, "(twist, summand) pairs", "table guard")
     return CohomologyTable(shape, tuple(_box_rows(E, [range(-bound, bound + 1)] * shape.s, twists)))
 
 

@@ -39,7 +39,7 @@ mismatches, which it reports verbatim.
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import combinations_with_replacement, groupby, product
-from math import comb, prod
+from math import comb
 from operator import and_
 
 from .core import (
@@ -49,11 +49,12 @@ from .core import (
     LineBundleSum,
     Shape,
     _as_shape,
+    _box_size,
     _canonical,
     _check_vector,
     _diagonal_runs,
-    _guard_message,
     _line_cohomology,
+    _refuse_past,
     bundle_to_doc,
 )
 
@@ -156,14 +157,10 @@ def _box_hits(E: LineBundleSum, lows, keep) -> dict[tuple[int, Degree, int], int
     alike by (x+n_k+1)/(x+1), one multiply and one exact divide per row.
     """
     dims = E.shape.dims
-    sides = [1 - lo for lo in lows]
-    box = prod(sides) if max(sides).bit_length() * len(sides) <= COUNT_BITS else None
-    if box is None or box > JBOX_GUARD:
-        raise InputError("E_GUARD", _guard_message(box, "twists j", "j-box guard", JBOX_GUARD))
+    _refuse_past(_box_size([1 - lo for lo in lows]), JBOX_GUARD, "twists j", "j-box guard")
     runs = [run for run in _diagonal_runs(E, lows) if keep(run[0], run[1])]
     rows = sum(last - first + 1 for _, _, first, last, _, _ in runs)
-    if rows > LISTING_GUARD:
-        raise InputError("E_GUARD", _guard_message(rows, "rows", "listing guard", LISTING_GUARD))
+    _refuse_past(rows, LISTING_GUARD, "rows", "listing guard")
     hits: dict[tuple[int, Degree, int], int] = {}
     for i, j, first, last, degree, mult in runs:
         xs = [a + x + first for a, x in zip(degree, j)]  # each axis's x at tau = first
@@ -438,19 +435,13 @@ def desk_scale_audit(
         """Multisets of size 1 .. max_rank from n degrees: C(n+max_rank, max_rank) - 1."""
         return comb(n + max_rank, min(n, max_rank)) - 1  # by the hockey-stick identity
 
-    # From k = min(degrees, max_rank) = 24 on there are at least C(48, 24) - 1 > AUDIT_GUARD
-    # candidates; the message counts them only while k * bit_length(degrees + max_rank) is cheap.
-    side = 2 * bound + 1
-    degrees = side ** shape.s if (side.bit_length() - 1) * shape.s <= COUNT_BITS else None
-    k = None if degrees is None else min(degrees, max_rank)
-    cheap = k is not None and (k < 24 or k * (degrees + max_rank).bit_length() <= COUNT_BITS)
+    # C(N+R, k) - 1, k = min(N, R), has at most k * bit_length(N+R) bits: counted only while cheap
+    degrees = _box_size([2 * bound + 1] * shape.s)
+    cheap = degrees is not None and (
+        min(degrees, max_rank) * (degrees + max_rank).bit_length() <= COUNT_BITS)
     candidates = multisets(degrees) if cheap else None
-    if candidates is None or candidates > AUDIT_GUARD:
-        raise AuditGuardError(
-            _guard_message(candidates, "candidate bundles", "desk-scale guard", AUDIT_GUARD)
-        )
-    if degrees > DEGREE_GUARD:
-        raise AuditGuardError(_guard_message(degrees, "degrees", "degree guard", DEGREE_GUARD))
+    _refuse_past(candidates, AUDIT_GUARD, "candidate bundles", "desk-scale guard", AuditGuardError)
+    _refuse_past(degrees, DEGREE_GUARD, "degrees", "degree guard", AuditGuardError)
     # product yields the degrees in lexicographic order, as canonical bundles sort them; a
     # class is keyed by its member with minimum 0 and checked on its first degree in the box.
     flags, classes = {}, {}
@@ -464,9 +455,8 @@ def desk_scale_audit(
     both = multisets(sum(h and c for h, c in flags.values()))
     hyp_only = multisets(sum(h for h, _ in flags.values())) - both
     concl_only = multisets(sum(c for _, c in flags.values())) - both
-    listed = hyp_only + concl_only
-    if listed > LISTING_GUARD:
-        raise AuditGuardError(f"{listed} mismatch rows exceed the listing guard of {LISTING_GUARD}")
+    listed = _refuse_past(hyp_only + concl_only, LISTING_GUARD, "mismatch rows", "listing guard",
+                          AuditGuardError)
     mismatches = []
     if listed:
         # Bit 1 is the hypothesis, bit 2 the conclusion, and a bundle's mask is the AND of its

@@ -30,7 +30,7 @@ from .core import (
     Shape,
     _as_shape,
     _check_vector,
-    _guard_message,
+    _refuse_past,
     binom_poly,
     bundle_to_doc,
     dualizing_degree,
@@ -100,8 +100,7 @@ def koszul_factor_complex(shape, axis: int, d) -> Complex:
         raise InputError("E_RANGE", f"factor index {axis} out of range for {shape.s} factors")
     d = _check_vector(shape, d, "degree")
     n = shape.dims[axis]
-    if n + 2 > KOSZUL_GUARD:
-        raise InputError("E_GUARD", _guard_message(n + 2, "terms", "koszul guard", KOSZUL_GUARD))
+    _refuse_past(n + 2, KOSZUL_GUARD, "terms", "koszul guard")
     terms = []
     for r in range(n + 2):
         degree = tuple(a - r if i == axis else a for i, a in enumerate(d))

@@ -14,18 +14,16 @@ j = 0: an intermediate degree lives on bounded runs only.
 """
 
 from dataclasses import dataclass, field
-from math import prod
 
 from .core import (
-    COUNT_BITS,
     Degree,
-    InputError,
     LineBundleSum,
     _as_shape,
-    _check_vector,
     _box_rows,
+    _box_size,
+    _check_vector,
     _diagonal_runs,
-    _guard_message,
+    _refuse_past,
     twist,
 )
 
@@ -55,13 +53,9 @@ def is_zero_regular(E: LineBundleSum) -> RegularityVerdict:
     The join covers every distinct summand at every twist j of the box, so more
     than SCAN_GUARD such pairs are refused with E_GUARD before any of them.
     """
-    sides = [n + 1 for n in E.shape.dims]
-    box = prod(sides) if max(sides).bit_length() * len(sides) <= COUNT_BITS else None
-    pairs = None if box is None else box * len(E.summands)
-    if pairs is None or pairs > SCAN_GUARD:
-        raise InputError(
-            "E_GUARD", _guard_message(pairs, "(j, summand) pairs", "regularity guard", SCAN_GUARD))
-    rows = _box_rows(E, [range(-n, 1) for n in E.shape.dims], box)
+    pairs = _box_size([n + 1 for n in E.shape.dims] + [len(E.summands)])  # box x summands
+    _refuse_past(pairs, SCAN_GUARD, "(j, summand) pairs", "regularity guard")
+    rows = _box_rows(E, [range(-n, 1) for n in E.shape.dims], pairs // len(E.summands))
     witnesses = tuple(row for row in rows if row[0] == -sum(row[1]) >= 1)
     return RegularityVerdict(not witnesses, witnesses)
 

@@ -179,15 +179,19 @@ def test_koszul_guard_exit(capsys, n):
     "argv",
     [
         ["cohomology", "--bundle", O22, "--t", "0", "--box", "1"],
+        ["cohomology", "--bundle", O22, "--box", "0", "--twist", "1,2,3,x"],
+        ["cohomology", "--bundle", O22, "--box", "1", "--twist", "0,0"],
         ["koszul", "--shape", "2,2", "--iso", "--factor", "1"],
         ["koszul", "--shape", "2,2", "--iso", "--d", "0,0"],
     ],
-    ids=["t-with-box", "iso-with-factor", "iso-with-d"],
+    ids=["t-with-box", "bad-twist-with-box", "twist-with-box", "iso-with-factor", "iso-with-d"],
 )
 def test_conflicting_options_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("E_USAGE:")
+    if "--twist" in argv:
+        assert err == "E_USAGE: --twist and --box cannot be combined\n"
 
 
 def test_koszul_bad_factor(capsys):
@@ -461,6 +465,15 @@ def test_box_guard_exit(capsys):
     code, out, err = run(capsys, "cohomology", "--bundle", O22, "--box", "9" * 3000)
     assert code == 2 and out == ""
     assert err == "E_GUARD: more than 1000000 twists exceed the box guard of 1000000\n"
+    # 999^2 twists for each of 11 distinct summands, refused before the join
+    summands = ",".join('{"degree":[%d,0]}' % a for a in range(11))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", "--bundle", '{"shape":[2,2],"summands":[%s]}'
+                         % summands, "--box", "499")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("E_GUARD: 10978011 (twist, summand) pairs exceed the table guard of "
+                   "10000000\n")
 
 
 def test_audit_guard_counts_ranks_in_closed_form(capsys):
@@ -613,12 +626,15 @@ def test_emit_table_matches_the_flattened_cell_order(table):
 #
 # Bundles for cohomology, regularity, acm and check have up to 20 factors:
 # the box, regularity and j-box guards refuse the large ones before any work.
-# Audit and koszul shapes have up to 4 factors of dimension at most 3, except
+# Audit and koszul shapes have up to 8 factors of dimension at most 3, except
 # a koszul factor of 20000, which the koszul guard refuses.  The coordinates of
 # a degree stay within a few units of one shared offset, as a large gap
 # between coordinates is accepted and runs for as long as its size says.
 # Boxes, audit bounds and ranks reach past their guards, and one bundle has a
-# 4000-digit degree, whose results are too long for str().
+# 4000-digit degree, whose results are too long for str().  The audit bounds
+# 49/50 on two factors and 4999/5000 on one straddle the degree guard's 10^4
+# degrees; on more factors they are refused at once.  The bounds just under
+# it on three or more factors are left out: each such audit runs for seconds.
 
 HUGE = [10**30, -(10**30), 2**64, -(2**63) - 1, 10**200]
 TOO_MANY_DIGITS = "9" * 4301
@@ -699,8 +715,8 @@ def bundle_json_st(draw, max_factors: int = 3):
 
 
 @st.composite
-def vector_st(draw, entry=ints_st):
-    entries = st.lists(entry, min_size=1, max_size=4)
+def vector_st(draw, entry=ints_st, max_size=4):
+    entries = st.lists(entry, min_size=1, max_size=max_size)
     return mostly(draw, entries.map(lambda v: ",".join(map(str, v))), bad_token_st)
 
 
@@ -735,20 +751,25 @@ def argv_st(draw):
     if command == "regularity":
         options.append(("--m", draw(vector_st())))
     if command == "koszul":  # a factor of 20000 is past the koszul guard
-        options.append(("--shape", draw(vector_st(st.integers(1, 3) | st.just(20000)))))
-    if command == "audit":
-        options.append(("--shape", draw(vector_st(st.integers(1, 3)))))
+        options.append(("--shape", draw(vector_st(st.integers(1, 3) | st.just(20000), 8))))
+    if command == "audit":  # half the time (P^n)^s, n >= 2: every criterion accepts it for s >= 2
+        dim = st.just(draw(st.integers(2, 3))) if draw(st.booleans()) else st.integers(1, 3)
+        shape = draw(vector_st(dim, 8))
+        options.append(("--shape", shape))
     if command == "koszul":
-        options += [("--factor", draw(scalar_st([0, 1, 2, 3, 10**30, -(10**30)]))),
-                    ("--d", draw(vector_st())), ("--iso", None)]
+        options += [("--factor", draw(scalar_st([0, 1, 2, 3, 8, 10**30, -(10**30)]))),
+                    ("--d", draw(vector_st(max_size=8))), ("--iso", None)]
     if command == "audit":
         options += [("--criterion", mostly(draw, st.sampled_from(["thm12", "thm13", "lemma14"]),
                                            st.just("x"))),
-                    ("--bound", draw(scalar_st([-1, 0, 1, 10**30, -(10**30)]))),
-                    ("--max-rank", draw(scalar_st([-1, 0, 1, 2, 10**12, -(10**30)]))),
+                    # the first values, which hypothesis draws most, reach the guards
+                    ("--bound", draw(scalar_st([1, 0, 49, 50, 4999, 5000, -1, 10**30,
+                                                -(10**30)]))),
+                    ("--max-rank", draw(scalar_st([1, 2, 10**12, 0, -1, -(10**30)]))),
                     ("--jobs", draw(scalar_st([1, 2, 10**30])))]
-    if command in ("check", "audit"):
-        options += [("--r", draw(vector_st())), ("--strict", None)]
+    if command in ("check", "audit"):  # the caps r = n are valid for any audit shape
+        caps = st.just(shape) if command == "audit" and draw(st.booleans()) else vector_st()
+        options += [("--r", draw(caps)), ("--strict", None)]
     if command != "--help":
         options += [("--format", mostly(draw, st.sampled_from(["json", "csv", "table"]),
                                         st.just("xml"))),

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
@@ -447,14 +448,36 @@ def test_cohomology_table_box_guard(monkeypatch):
     with pytest.raises(InputError) as e:
         cohomology_table(line_bundle((1,) * 40, (0,) * 40), 10**4000)
     assert str(e.value) == "more than 1000000 twists exceed the box guard of 1000000"
+    # 3^250000 twists, counted at once: equal sides are raised to a power, not multiplied one by one
+    E = line_bundle((1,) * 250_000, (0,) * 250_000)
+    start = time.perf_counter()
+    with pytest.raises(InputError) as e:
+        cohomology_table(E, 1)
+    assert time.perf_counter() - start < 1
+    assert str(e.value) == "more than 1000000 twists exceed the box guard of 1000000"
     # the guard is (2B+1)^s <= BOX_GUARD: 25 twists pass a guard of 25, 49 do not
     monkeypatch.setattr(core, "BOX_GUARD", 25)
     assert len(cohomology_table(line_bundle((1, 1), (9, 9)), 2).rows) == 25
     with pytest.raises(InputError) as e:
         cohomology_table(line_bundle((1, 1), (0, 0)), 3)
     assert str(e.value) == "49 twists exceed the box guard of 25"
-    # one twist, however many factors
-    assert cohomology_table(line_bundle((1,) * 50_000, (0,) * 50_000), 0).rows[0][2] == 1
+    # one twist, however many factors: a side of 1 adds no bits to the count
+    s = core.COUNT_BITS + 1
+    assert cohomology_table(line_bundle((1,) * s, (0,) * s), 0).rows[0][2] == 1
+
+
+def test_cohomology_table_pair_guard(monkeypatch):
+    import multicoh.core as core
+
+    # the join covers every distinct summand over the whole box: twists * summands pairs
+    assert core.TABLE_GUARD == 10**7
+    monkeypatch.setattr(core, "TABLE_GUARD", 50)
+    two = line_bundle((1, 1), (0, 0)) + line_bundle((1, 1), (-3, 1))
+    assert len(cohomology_table(two, 2).rows) == 16 + 16 - 3  # 3 (t, d) carry both summands
+    with pytest.raises(InputError) as e:
+        cohomology_table(two + line_bundle((1, 1), (5, 5)) + line_bundle((1, 1), (0, 0)), 2)
+    assert (e.value.code, str(e.value)) == (
+        "E_GUARD", "75 (twist, summand) pairs exceed the table guard of 50")
 
 
 # ---------------------------------------------------------------------- json

@@ -64,20 +64,22 @@ def test_dead_private_function_scan():
     assert dead_private_functions(sources) == ["a._stranded", "b._nested_caller"]
 
 
-def trusted_sites(source: str) -> list[str]:
-    """The innermost function around each object.__new__(LineBundleSum, ...) call."""
+def call_sites(source: str, matches) -> list[str]:
+    """The innermost function around each call for which matches(call) holds."""
     tree = ast.parse(source)
     owner = {}
     for fn in ast.walk(tree):  # breadth first, so an inner function is seen after its outer one
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             for node in ast.walk(fn):
                 owner[node] = getattr(fn, "name", "<lambda>")
-    return [
-        owner.get(node, "<module>")
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"
-        and node.args and ast.unparse(node.args[0]) == "LineBundleSum"
-    ]
+    return [owner.get(node, "<module>") for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and matches(node)]
+
+
+def trusted_sites(source: str) -> list[str]:
+    """The innermost function around each object.__new__(LineBundleSum, ...) call."""
+    return call_sites(source, lambda node: ast.unparse(node.func) == "object.__new__"
+                      and node.args and ast.unparse(node.args[0]) == "LineBundleSum")
 
 
 def test_trusted_constructor_has_one_home():
@@ -93,6 +95,33 @@ def test_trusted_site_scan():
         "    return object.__new__(Shape), lambda: object.__new__(LineBundleSum)\n"
     )
     assert sorted(trusted_sites(source)) == ["<lambda>", "<module>", "g"]
+
+
+def guard_sites(source: str) -> list[str]:
+    """The innermost function around each InputError(..., "E_GUARD", ...) or AuditGuardError
+    call, by either name alone or as a module attribute."""
+    def refuses(node):
+        name = ast.unparse(node.func).rpartition(".")[2]
+        args = [*node.args, *(keyword.value for keyword in node.keywords)]
+        return name == "AuditGuardError" or name == "InputError" and any(
+            isinstance(arg, ast.Constant) and arg.value == "E_GUARD" for arg in args)
+    return call_sites(source, refuses)
+
+
+def test_guards_have_one_home():
+    # every E_GUARD refusal goes through core._refuse_past, which words them all alike
+    sites = {p.name: guard_sites(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name: found for name, found in sites.items() if found} == {"core.py": ["_refuse_past"]}
+
+
+def test_guard_site_scan():
+    source = (
+        'InputError("E_GUARD", "m")\nInputError("E_RANGE", "m")\n'
+        'def f():\n    raise AuditGuardError(f"{n} rows")\n'
+        'class A:\n    def g(self):\n'
+        '        return lambda: core.InputError(code="E_GUARD", message="m")\n'
+    )
+    assert sorted(guard_sites(source)) == ["<lambda>", "<module>", "f"]
 
 
 CACHES = {"cache", "lru_cache"}
