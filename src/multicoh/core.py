@@ -49,20 +49,19 @@ class InputError(ValueError):
         self.code = code
 
 
-def _box_size(sides: list[int]) -> int | None:
-    """prod(sides), or None once sum(side.bit_length() - 1) exceeds COUNT_BITS (the product
-    has more bits).  Past 64 sides, equal sides are raised to a power, not multiplied one by one."""
-    if sum(map(int.bit_length, sides)) - len(sides) > COUNT_BITS:
+def _box_size(sides: list[int], count_ones: bool = False) -> int | None:
+    """prod(sides), or None once sum(side.bit_length() - 1), plus one per side of 1 if count_ones,
+    exceeds COUNT_BITS (the product has more bits, or the box more sides than that).  Equal
+    sides are raised to a power, not multiplied one by one."""
+    if sum(map(int.bit_length, sides)) - len(sides) + count_ones * sides.count(1) > COUNT_BITS:
         return None
-    if len(sides) <= 64:
-        return prod(sides)
     return prod(side ** count for side, count in Counter(sides).items())
 
 
 def _refuse_past(count: int | None, limit: int, what: str, guard: str, error=None) -> int:
-    """count if it is at most limit; otherwise, or if it is None (not worked out), raise E_GUARD
-    (error(message) if given) with '<count> <what> exceed the <guard> of <limit>', the count
-    reading 'more than <limit>' if None or too long for str().  All E_GUARD refusals come here."""
+    """count if it is at most limit, else raise E_GUARD (error(message) if given) with '<count>
+    <what> exceed the <guard> of <limit>', the count reading 'more than <limit>' if None (not
+    worked out) or too long for str().  Every E_GUARD InputError in the library is raised here."""
     if count is not None and count <= limit:
         return count
     try:

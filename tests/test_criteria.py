@@ -560,6 +560,15 @@ def test_check_jbox_guard_refuses_before_any_join(monkeypatch):
     with pytest.raises(InputError) as e:
         thm13_violations(line_bundle((2**300_000,) * 2, (0, 0)), (0, 0))
     assert str(e.value) == "more than 10000 twists j exceed the j-box guard of 10000"
+    # lemma14's box is the one twist j = 0, but each factor still counts a bit: past COUNT_BITS
+    # factors it is refused before the join
+    monkeypatch.setattr(criteria, "_diagonal_runs", no_keep)
+    s = criteria.COUNT_BITS + 1
+    start = time.perf_counter()
+    with pytest.raises(InputError) as e:
+        lemma14_check(line_bundle((1,) * s, (0,) * s))
+    assert time.perf_counter() - start < 1
+    assert str(e.value) == "more than 10000 twists j exceed the j-box guard of 10000"
 
 
 def test_check_join_work_does_not_grow_with_the_gaps(monkeypatch):
