@@ -23,21 +23,24 @@ most n_k+1 wide on axis k, along the diagonal ray j + tau*(1,...,1), one
 phase of tau at a time, and lists runs: a j with the one interval of tau
 where a summand has H^i != 0, for the intermediate degrees 0 < i < dim X.
 The criteria, the aCM test and the nonvanishing-twist intervals read it.
-All arithmetic is exact (Python integers); nothing here floats.
+Each join refuses the inputs past its own guards with E_GUARD before any
+work.  All arithmetic is exact (Python integers); nothing here floats.
 """
 
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 from math import comb, prod
+from operator import mul
 
 from .intervals import IntervalSet
 
 Degree = tuple[int, ...]
 
-BOX_GUARD = 1_000_000  # twists a cohomology table may cover, (2B+1)^s
-TABLE_GUARD = 10_000_000  # (twist, summand) pairs a table may join: a few seconds of join
+BOX_GUARD = 1_000_000  # twists a box join may cover: (2B+1)^s for a table
+TABLE_GUARD = 10_000_000  # (twist, summand) pairs a box join may cover: a few seconds of join
+DIAGONAL_GUARD = 30_000_000  # j entries a diagonal join may write: about 1 s of join on (P^2)^8
 COUNT_BITS = 1 << 18  # guards work out a count only below about this many bits: past all limits
 
 
@@ -49,11 +52,10 @@ class InputError(ValueError):
         self.code = code
 
 
-def _box_size(sides: list[int], count_ones: bool = False) -> int | None:
-    """prod(sides), or None once sum(side.bit_length() - 1), plus one per side of 1 if count_ones,
-    exceeds COUNT_BITS (the product has more bits, or the box more sides than that).  Equal
-    sides are raised to a power, not multiplied one by one."""
-    if sum(map(int.bit_length, sides)) - len(sides) + count_ones * sides.count(1) > COUNT_BITS:
+def _box_size(sides: list[int]) -> int | None:
+    """prod(sides), or None once sum(side.bit_length() - 1) exceeds COUNT_BITS (the product
+    has more bits than that).  Equal sides are raised to a power, not multiplied one by one."""
+    if sum(map(int.bit_length, sides)) - len(sides) > COUNT_BITS:
         return None
     return prod(side ** count for side, count in Counter(sides).items())
 
@@ -364,14 +366,19 @@ def _diagonal_runs(E: LineBundleSum, lows):
     where j is live, and j is live at tau iff tau <= -a_k-j_k-n_k-1 on T and
     tau >= -a_k-j_k on S: one interval, which the join of the axes' cells carries,
     dropping j once it is empty.  A summand has at most s phases, each yields a j at
-    most once, and no level of a join holds more than the box, whatever the gaps of a;
-    callers bound the box.
+    most once, and level k of a join holds at most box_k j's, the box of j_1..j_k, whatever
+    the gaps of a.  Past DIAGONAL_GUARD j entries, all phases times sum(k * box_k), it refuses.
     """
     dims = E.shape.dims
+    summands = []
     for degree, mult in E.summands:
         ends = [-a - lo - n for a, lo, n in zip(degree, lows, dims)]
         right = max(ends)  # the window ends where the last axis runs out of top cells
-        cuts = sorted({right, *(-a for a in degree if -a < right)})
+        summands.append((degree, mult, ends, sorted({right, *(-a for a in degree if -a < right)})))
+    entries = sum(k * box for k, box in enumerate(accumulate([1 - lo for lo in lows], mul), 1))
+    phases = sum(len(cuts) - 1 for *_, cuts in summands)
+    _refuse_past(entries * phases, DIAGONAL_GUARD, "j entries", "diagonal-join guard")
+    for degree, mult, ends, cuts in summands:
         for start, stop in zip(cuts, cuts[1:]):
             i, live = 0, [((), start, stop - 1)]  # j so far, first and last tau it is live at
             for a, lo, n, end in zip(degree, lows, dims, ends):
@@ -407,21 +414,17 @@ class CohomologyTable:
 
 
 def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
-    """Tabulate every nonzero H^t(E(d)) for d in the box [-bound, bound]^s (see _box_rows).
-
-    Refuses more than BOX_GUARD twists or TABLE_GUARD (twist, summand) pairs before any work.
-    """
+    """Tabulate every nonzero H^t(E(d)) for d in the box [-bound, bound]^s (see _box_rows,
+    which refuses the boxes past its guards)."""
     if bound < 0:
         raise InputError("E_RANGE", f"box bound must be >= 0, got {bound}")
-    shape = E.shape
-    twists = _refuse_past(_box_size([2 * bound + 1] * shape.s), BOX_GUARD, "twists", "box guard")
-    _refuse_past(twists * len(E.summands), TABLE_GUARD, "(twist, summand) pairs", "table guard")
-    return CohomologyTable(shape, tuple(_box_rows(E, [range(-bound, bound + 1)] * shape.s, twists)))
+    return CohomologyTable(E.shape, tuple(_box_rows(E, [range(-bound, bound + 1)] * E.shape.s)))
 
 
-def _box_rows(E: LineBundleSum, ranges, twists: int) -> list[tuple[int, Degree, int]]:
+def _box_rows(E: LineBundleSum, ranges) -> list[tuple[int, Degree, int]]:
     """Every (t, d, dim H^t(E(d))) with a nonzero dim, d in the product of the ranges (one
-    per axis, twists of d in all), sorted by (t, d).
+    per axis, twists of d in all), sorted by (t, d).  More than BOX_GUARD twists, or
+    TABLE_GUARD (twist, summand) pairs, are refused with E_GUARD before any join.
 
     The box is a product of axes, and a line bundle's state is decided factor
     by factor: on each axis a summand O(a) has live cells (x, q, c), q = 0 and
@@ -436,6 +439,9 @@ def _box_rows(E: LineBundleSum, ranges, twists: int) -> list[tuple[int, Degree, 
     keys and multiplies dims.  Summands merge on the key and are sorted once.
     """
     dims = E.shape.dims
+    sides = [xs.stop - xs.start for xs in ranges]  # len() of a range fails past sys.maxsize
+    twists = _refuse_past(_box_size(sides), BOX_GUARD, "twists", "box guard")
+    _refuse_past(twists * len(E.summands), TABLE_GUARD, "(twist, summand) pairs", "table guard")
     merged: dict[int, int] = {}  # t * twists + position of d -> dim
     for degree, mult in E.summands:
         partial = [(0, mult)]

@@ -157,8 +157,7 @@ def _box_hits(E: LineBundleSum, lows, keep) -> dict[tuple[int, Degree, int], int
     alike by (x+n_k+1)/(x+1), one multiply and one exact divide per row.
     """
     dims = E.shape.dims
-    sides = [1 - lo for lo in lows]  # count_ones: the run join's work grows with the factors
-    _refuse_past(_box_size(sides, count_ones=True), JBOX_GUARD, "twists j", "j-box guard")
+    _refuse_past(_box_size([1 - lo for lo in lows]), JBOX_GUARD, "twists j", "j-box guard")
     runs = [run for run in _diagonal_runs(E, lows) if keep(run[0], run[1])]
     rows = sum(last - first + 1 for _, _, first, last, _, _ in runs)
     _refuse_past(rows, LISTING_GUARD, "rows", "listing guard")

@@ -3,14 +3,14 @@
 A bundle E is 0-regular when H^t(E(j)) = 0 for every t >= 1 and every
 twist j with j_1 + ... + j_s = -t and -n_i <= j_i <= 0; it is m-regular
 when E(m) is 0-regular.  The 0-regularity test reads the nonzero
-H^t(E(j)) over that box from core._box_rows, the join of per-axis cells,
-and keeps those with t = -sum(j) >= 1.  For sums of line bundles, O(a) is
-0-regular exactly when a >= 0 componentwise and E is 0-regular exactly when
-every summand is, so the regularity index is a closed form.
+H^t(E(j)) over that box from core._box_rows, the join of per-axis cells
+that bounds its own work, and keeps those with t = -sum(j) >= 1.  For sums of
+line bundles, O(a) is 0-regular exactly when a >= 0 componentwise and E is
+0-regular exactly when every summand is: the regularity index is a closed form.
 
 E is aCM here when H^i(E(t, ..., t)) vanishes for every 0 < i < dim and
 every integer t, decided exactly by the runs of core._diagonal_runs at
-j = 0: an intermediate degree lives on bounded runs only.
+j = 0 (intermediate degrees live on bounded runs), a join that bounds its work too.
 """
 
 from dataclasses import dataclass, field
@@ -20,14 +20,10 @@ from .core import (
     LineBundleSum,
     _as_shape,
     _box_rows,
-    _box_size,
     _check_vector,
     _diagonal_runs,
-    _refuse_past,
     twist,
 )
-
-SCAN_GUARD = 100_000  # (j, summand) pairs a 0-regularity join may cover
 
 
 @dataclass(frozen=True)
@@ -50,12 +46,10 @@ class RegularityVerdict:
 def is_zero_regular(E: LineBundleSum) -> RegularityVerdict:
     """Witnesses list every (t, j, dim) with H^t(E(j)) != 0 in the defining box, sorted.
 
-    The join covers every distinct summand at every twist j of the box, so more
-    than SCAN_GUARD such pairs are refused with E_GUARD before any of them.
+    The box join refuses more than core.BOX_GUARD twists j, or core.TABLE_GUARD
+    (j, summand) pairs, with E_GUARD before any of them.
     """
-    pairs = _box_size([n + 1 for n in E.shape.dims] + [len(E.summands)])  # box x summands
-    _refuse_past(pairs, SCAN_GUARD, "(j, summand) pairs", "regularity guard")
-    rows = _box_rows(E, [range(-n, 1) for n in E.shape.dims], pairs // len(E.summands))
+    rows = _box_rows(E, [range(-n, 1) for n in E.shape.dims])
     witnesses = tuple(row for row in rows if row[0] == -sum(row[1]) >= 1)
     return RegularityVerdict(not witnesses, witnesses)
 

@@ -41,6 +41,17 @@ from multicoh import (
 )
 
 
+def forbid_diagonal_join(monkeypatch) -> None:
+    """Make any phase join of core._diagonal_runs fail the test.  The join builds each
+    axis's cells from range, which nothing else in core calls on the check and acm paths."""
+    import multicoh.core as core
+
+    def joined(*args):
+        raise AssertionError("a phase of the diagonal join was joined")
+
+    monkeypatch.setattr(core, "range", joined, raising=False)
+
+
 @lru_cache(maxsize=None)
 def count_monomials(nvars: int, degree: int) -> int:
     """Monomials of exact total degree in nvars variables, counted by recursion."""

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from multicoh import AuditReport, LineBundleSum, bundle_to_json, cli
 from multicoh.cli import build_parser, emit_table, main
 
-from support import emit_table_oracle
+from support import emit_table_oracle, forbid_diagonal_join
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -114,14 +115,13 @@ def test_regularity_witnesses_and_m(capsys):
 
 @pytest.mark.parametrize("m", [[], ["--m", "0," * 19 + "0"]], ids=["plain", "m"])
 def test_regularity_guard_exit(capsys, m):
-    # a box of 3^20 twists j on (P^2)^20, refused before the scan
+    # a box of 3^20 twists j on (P^2)^20, refused before the join
     bundle = '{"shape":[%s],"summands":[{"degree":[-1%s]}]}' % (",".join(["2"] * 20), ",0" * 19)
     start = time.perf_counter()
     code, out, err = run(capsys, "regularity", "--bundle", bundle, *m)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == ("E_GUARD: 3486784401 (j, summand) pairs exceed the regularity guard "
-                   "of 100000\n")
+    assert err == "E_GUARD: 3486784401 twists exceed the box guard of 1000000\n"
 
 
 # ------------------------------------------------------------------------ acm
@@ -399,6 +399,32 @@ def test_check_jbox_guard_exit(capsys):
     assert err == "E_GUARD: 3486784401 twists j exceed the j-box guard of 10000\n"
 
 
+def far_apart_summands(count: int) -> list[dict]:
+    """count distinct degrees on (P^2)^8, coordinate i at -9i plus 0 to 3: seven phases each."""
+    rng, degrees = random.Random(0), set()
+    while len(degrees) < count:
+        degrees.add(tuple(-9 * i + rng.randint(0, 3) for i in range(8)))
+    return [{"degree": list(degree)} for degree in sorted(degrees)]
+
+
+@pytest.mark.parametrize("argv, count", [
+    # a phase per factor: 1999 phases of 2000 * 2001 / 2 j entries
+    (["acm", "--bundle", json.dumps({"shape": [1] * 2000,
+                                     "summands": [{"degree": list(range(0, -6000, -3))}]})],
+     3999999000),
+    # 200 summands of 7 phases, each of 3 + 2*3^2 + ... + 8*3^8 = 73812 j entries
+    (["check", "thm13", "--r", "0,0,0,0,0,0,0,0", "--bundle",
+      json.dumps({"shape": [2] * 8, "summands": far_apart_summands(200)})], 103336800),
+], ids=["acm", "thm13"])
+def test_diagonal_guard_exit(capsys, monkeypatch, argv, count):
+    forbid_diagonal_join(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"E_GUARD: {count} j entries exceed the diagonal-join guard of 30000000\n"
+
+
 @pytest.mark.parametrize("degree, r, expected", [
     ("0,1000000", "0,0", (2, "", "E_GUARD: 9974000001 rows exceed the listing guard of 100000\n")),
     ("1000000,0", "4999,1", (0, "[]\n", "")),
@@ -625,11 +651,13 @@ def test_emit_table_matches_the_flattened_cell_order(table):
 # -------------------------------------------------------------------- fuzzing
 #
 # Bundles for cohomology, regularity, acm and check have up to 20 factors:
-# the box, regularity and j-box guards refuse the large ones before any work.
+# the box, table and j-box guards refuse the large ones before any work.
 # Audit and koszul shapes have up to 8 factors of dimension at most 3, except
 # a koszul factor of 20000, which the koszul guard refuses.  The coordinates of
-# a degree stay within a few units of one shared offset, as a large gap
-# between coordinates is accepted and runs for as long as its size says.
+# a degree mostly stay within a few units of one shared offset.  For acm and
+# check they are also drawn more than n apart on up to 2000 factors of P^n,
+# and as up to 200 such degrees on (P^2)^8: a phase per factor, which the
+# diagonal-join guard refuses past about a second of join.
 # Boxes, audit bounds and ranks reach past their guards, and one bundle has a
 # 4000-digit degree, whose results are too long for str().  The audit bounds
 # 49/50 on two factors and 4999/5000 on one straddle the degree guard's 10^4
@@ -671,9 +699,11 @@ def mostly_list(draw, count: int, good, bad) -> list:
 
 
 @st.composite
-def bundle_json_st(draw, max_factors: int = 3):
-    """Bundle JSON text, mostly well formed, on up to max_factors factors."""
-    special = draw(st.sampled_from([None] * 12 + ["empty", "deep", "digits", "long", "cut", "gap"]))
+def bundle_json_st(draw, max_factors: int = 3, far: bool = False):
+    """Bundle JSON text, mostly well formed, on up to max_factors factors; with far, also
+    degrees whose coordinates lie more than n apart (see the comment above)."""
+    specials = ["empty", "deep", "digits", "long", "cut", "gap"] + ["far", "many"] * far
+    special = draw(st.sampled_from([None] * 12 + specials))
     if special == "empty":
         return draw(st.sampled_from(["{}", "", "[]", "null", "{", '{"shape":[],"summands":[]}']))
     if special == "deep":
@@ -688,6 +718,18 @@ def bundle_json_st(draw, max_factors: int = 3):
     if special == "gap":  # about 10^9 rows on a ray for check, which must refuse it
         gap = draw(st.sampled_from([10**9, -(10**9)]))
         return '{"shape":[2,2],"summands":[{"degree":[0,%d]}]}' % gap
+    if special == "far":  # coordinate k at offset - step * k on (P^n)^s, step > n
+        n, s = draw(st.integers(1, 3)), draw(st.integers(2, 2000))
+        summands = [{"degree": list(range(offset, offset - step * s, -step))}
+                    for offset, step in draw(st.lists(st.tuples(st.integers(-3, 3),
+                                                                st.integers(n + 1, 3 * n + 3)),
+                                                      min_size=1, max_size=3))]
+        return json.dumps({"shape": [n] * s, "summands": summands})
+    if special == "many":  # coordinate i at -9i plus 0 to 3 on (P^2)^8
+        rng = draw(st.randoms(use_true_random=False))
+        summands = [{"degree": [-9 * i + rng.randint(0, 3) for i in range(8)]}
+                    for _ in range(draw(st.integers(1, 200)))]
+        return json.dumps({"shape": [2] * 8, "summands": summands})
     bad_dim = st.sampled_from([0, -1, -(10**30), True, 1.5, "2", None])
     good_dim = st.integers(1, 3)
     count = draw(st.integers(1, 3) if max_factors <= 3
@@ -736,7 +778,8 @@ def argv_st(draw):
     commands = ["cohomology", "regularity", "acm", "koszul", "check", "audit"]
     command = draw(st.sampled_from(commands * 4 + ["nope", "--help"]))
     wide = command in ("cohomology", "regularity", "acm", "check")
-    bundle = mostly(draw, bundle_json_st(20 if wide else 3), st.sampled_from(BUNDLE_FILES))
+    bundle = mostly(draw, bundle_json_st(20 if wide else 3, command in ("acm", "check")),
+                    st.sampled_from(BUNDLE_FILES))
     argv = [command]
     options = []
     if command == "check":

@@ -360,10 +360,11 @@ def test_intervals_twist_shift(E, c, data):
 
 
 @st.composite
-def runs_case_st(draw):
-    """A bundle on up to 4 factors with its multiplicities, and a box lows in [-n_k, 0]."""
-    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="dims"))
-    degrees = draw(st.lists(st.tuples(*[degree_coord] * len(dims)), min_size=1, max_size=3))
+def runs_case_st(draw, max_factors=4, coord=degree_coord):
+    """A bundle on up to max_factors factors with its multiplicities, and a box lows in
+    [-n_k, 0]."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=max_factors), label="dims"))
+    degrees = draw(st.lists(st.tuples(*[coord] * len(dims)), min_size=1, max_size=3))
     mults = st.integers(1, 2)
     E = LineBundleSum(dims, tuple((degree, draw(mults)) for degree in degrees))
     return E, tuple(draw(st.integers(-n, 0), label="low") for n in dims)
@@ -391,6 +392,69 @@ def test_diagonal_runs_match_kunneth_scan(case):
                 nonzero.update((degree, i, j, tau) for i in range(1, total)
                                if kunneth_oracle(dims, a, i))
     assert set(held) == nonzero
+
+
+def written_j_entries(E, lows) -> int:
+    """The j entries the phase joins of _diagonal_runs write, walked over the box: in a
+    phase, level k writes a j_1..j_k of k entries when axes 1..k are each top or sections
+    at its start and the interval of tau they leave inside the phase is not empty."""
+    dims, total = E.shape.dims, 0
+    for degree, _ in E.summands:
+        ends = [-a - lo - n for a, lo, n in zip(degree, lows, dims)]
+        cuts = sorted({max(ends), *(-a for a in degree if -a < max(ends))})
+        for start, stop in zip(cuts, cuts[1:]):
+            axes = list(zip(degree, lows, dims, ends))
+            for k in range(1, len(axes) + 1):
+                if not all(start < end or start >= -a for a, _, _, end in axes[:k]):
+                    break
+                for j in itertools.product(*[range(lo, 1) for _, lo, _, _ in axes[:k]]):
+                    first, last = start, stop - 1
+                    for (a, _, n, end), x in zip(axes, j):
+                        if start < end:
+                            last = min(last, -a - x - n - 1)
+                        else:
+                            first = max(first, -a - x)
+                    total += k * (first <= last)
+    return total
+
+
+def diagonal_guard_count(E, lows) -> int:
+    """The count the diagonal-join guard works out, read from its refusal at a limit of -1."""
+    import multicoh.core as core
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(core, "DIAGONAL_GUARD", -1)
+        with pytest.raises(InputError) as e:
+            next(_diagonal_runs(E, lows))
+    count, _, rest = str(e.value).partition(" ")
+    assert rest == "j entries exceed the diagonal-join guard of -1"
+    return int(count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs_case_st(max_factors=5, coord=st.integers(-8, 8)))
+def test_diagonal_guard_counts_every_written_j_entry(case):
+    E, lows = case
+    assert diagonal_guard_count(E, lows) >= written_j_entries(E, lows)
+
+
+def test_diagonal_guard_boundary(monkeypatch):
+    import multicoh.core as core
+
+    assert core.DIAGONAL_GUARD == 30_000_000
+    # lows (-2, -2, -2): level k writes at most 3^k j's of k entries, 3 + 2*9 + 3*27 in all,
+    # in each of the two phases, cut at tau = -6, -3 and 0
+    E, lows = line_bundle((2, 2, 2), (0, 3, 6)), (-2, -2, -2)
+    assert diagonal_guard_count(E, lows) == 204
+    runs = list(_diagonal_runs(E, lows))
+    assert runs and written_j_entries(E, lows) <= 204
+    monkeypatch.setattr(core, "DIAGONAL_GUARD", 204)
+    assert list(_diagonal_runs(E, lows)) == runs
+    monkeypatch.setattr(core, "DIAGONAL_GUARD", 203)
+    with pytest.raises(InputError) as e:
+        next(_diagonal_runs(E, lows))
+    assert (e.value.code, str(e.value)) == (
+        "E_GUARD", "204 j entries exceed the diagonal-join guard of 203")
 
 
 # ------------------------------------------------------------------- tables

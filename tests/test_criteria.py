@@ -35,6 +35,7 @@ from support import (
     bundles_st,
     criterion_rows_oracle,
     criterion_sides,
+    forbid_diagonal_join,
     lemma14_rows_oracle,
 )
 
@@ -560,15 +561,20 @@ def test_check_jbox_guard_refuses_before_any_join(monkeypatch):
     with pytest.raises(InputError) as e:
         thm13_violations(line_bundle((2**300_000,) * 2, (0, 0)), (0, 0))
     assert str(e.value) == "more than 10000 twists j exceed the j-box guard of 10000"
-    # lemma14's box is the one twist j = 0, but each factor still counts a bit: past COUNT_BITS
-    # factors it is refused before the join
-    monkeypatch.setattr(criteria, "_diagonal_runs", no_keep)
+    # lemma14's box is the one twist j = 0 on any number of factors: degree 0 has no phase
     s = criteria.COUNT_BITS + 1
     start = time.perf_counter()
-    with pytest.raises(InputError) as e:
-        lemma14_check(line_bundle((1,) * s, (0,) * s))
+    report = lemma14_check(line_bundle((1,) * s, (0,) * s))
     assert time.perf_counter() - start < 1
-    assert str(e.value) == "more than 10000 twists j exceed the j-box guard of 10000"
+    assert report.conditions_hold and report.witnesses == ()
+    # far apart, a phase per factor: 1999 phases of 2000 * 2001 / 2 j entries are refused
+    forbid_diagonal_join(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(InputError) as e:
+        lemma14_check(line_bundle((2,) * 2000, range(0, -8000, -4)))
+    assert time.perf_counter() - start < 1
+    assert (e.value.code, str(e.value)) == (
+        "E_GUARD", "3999999000 j entries exceed the diagonal-join guard of 30000000")
 
 
 def test_check_join_work_does_not_grow_with_the_gaps(monkeypatch):

@@ -17,7 +17,6 @@ from multicoh import (
     line_bundle,
     nonvanishing_twist_intervals,
     regularity_index,
-    regularity,
     restrict_factor,
     sum_cohomology_dim,
     twist,
@@ -282,13 +281,21 @@ def test_acm_decided_by_intervals():
     assert t in nonvanishing_twist_intervals(E, (0, 0), i)
 
 
-def test_scan_guard_boundary():
-    # 5^5 twists j times 32 distinct summands is the guard's limit; a 33rd summand is refused
+def test_regularity_box_and_table_guard_boundary(monkeypatch):
+    import multicoh.core as core
+
+    # the box of (P^4)^5 has 5^5 twists j; 33 distinct summands make 103125 (j, summand) pairs
     summands = tuple(((a, 0, 0, 0, 0), 1) for a in range(-1, 32))
     E = LineBundleSum((4,) * 5, summands[1:])
-    assert 5**5 * len(E.summands) == regularity.SCAN_GUARD
+    assert is_m_regular(LineBundleSum((4,) * 5, summands), (1, 0, 0, 0, 0)).regular
+    monkeypatch.setattr(core, "BOX_GUARD", 5**5)
+    monkeypatch.setattr(core, "TABLE_GUARD", 5**5 * 32)
     assert is_zero_regular(E).regular
     with pytest.raises(InputError) as e:
         is_m_regular(LineBundleSum((4,) * 5, summands), (1, 0, 0, 0, 0))
     assert (e.value.code, str(e.value)) == (
-        "E_GUARD", "103125 (j, summand) pairs exceed the regularity guard of 100000")
+        "E_GUARD", "103125 (twist, summand) pairs exceed the table guard of 100000")
+    monkeypatch.setattr(core, "BOX_GUARD", 5**5 - 1)
+    with pytest.raises(InputError) as e:
+        is_zero_regular(E)
+    assert (e.value.code, str(e.value)) == ("E_GUARD", "3125 twists exceed the box guard of 3124")

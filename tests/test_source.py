@@ -1,11 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "multicoh"
+README = SRC.parents[1] / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -122,6 +124,41 @@ def test_guard_site_scan():
         '        return lambda: core.InputError(code="E_GUARD", message="m")\n'
     )
     assert sorted(guard_sites(source)) == ["<lambda>", "<module>", "f"]
+
+
+def guard_limits(source: str) -> set[str]:
+    """The name of the limit, by position or keyword, in each call of _refuse_past."""
+    limits = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_refuse_past":
+            args = node.args[1:2] + [k.value for k in node.keywords if k.arg == "limit"]
+            limits.update(ast.unparse(arg).rpartition(".")[2] for arg in args)
+    return limits
+
+
+def guard_table(readme: str) -> set[str]:
+    """The constants in the first column of the table under the README's Guards heading."""
+    section = readme.partition("\n### Guards\n")[2].partition("\n#")[0]
+    return set(re.findall(r"^\| `(\w+)` = ", section, re.M))
+
+
+def test_readme_guard_table_lists_every_limit():
+    limits = set().union(*(guard_limits(p.read_text()) for p in SRC.glob("*.py")))
+    assert limits == guard_table(README.read_text())
+
+
+def test_guard_limit_scan():
+    source = (
+        '_refuse_past(n, BOX_GUARD, "twists", "box guard")\n'
+        'def f():\n    return core._refuse_past(n, what="w", limit=core.LIMIT, guard="g")\n'
+        "refuse(n, OTHER)\n_refuse_past_all(n, NOT_A_GUARD)\n"
+    )
+    assert guard_limits(source) == {"BOX_GUARD", "LIMIT"}
+    readme = (
+        "## A\n| `EARLIER` = 1 |\n### Guards\n\nText `IN_TEXT` = 2.\n\n| constant |\n|---|\n"
+        "| `FIRST` = 10^6 | core |\n| `SECOND` = 3000 | koszul |\n\n## Later\n| `LATER` = 1 |\n"
+    )
+    assert guard_table(readme) == {"FIRST", "SECOND"}
 
 
 CACHES = {"cache", "lru_cache"}
