@@ -25,7 +25,8 @@ pairwise gaps of every summand degree by n.
 
 A hypothesis is checked per summand over its whole box of twists j: the
 runs of core._diagonal_runs give each (i, j) with H^i != 0 together with its
-interval of diagonal twists, and each is filtered once (see _box_hits).
+interval of diagonal twists; each is filtered, and its rows counted, as the join
+yields it (see _box_hits).
 
 desk_scale_audit cross-tabulates hypothesis against conclusion over every
 canonical bundle in a degree box up to a rank cap.  On a direct sum both
@@ -145,22 +146,24 @@ class ViolationReport:
         return [{"i": i, "j": list(j), "t": t, "dim": dim} for i, j, t, dim in self.rows]
 
 
-def _box_hits(E: LineBundleSum, lows, keep) -> dict[tuple[int, Degree, int], int]:
-    """{(i, j, tau): dim H^i(E(j + tau*(1,...,1))) != 0} over the box lows_k <= j_k <= 0
-    (lows_k >= -n_k) and the degrees 0 < i < dim X with keep(i, j), from the runs of
-    core._diagonal_runs; keep is called once per run.
+def _box_hits(E: LineBundleSum, lows, keep) -> list[tuple[int, Degree, int, int]]:
+    """Sorted rows (i, j, tau, dim), dim = dim H^i(E(j + tau*(1,...,1))) != 0, over the box
+    lows_k <= j_k <= 0 (lows_k >= -n_k) and the degrees 0 < i < dim X with keep(i, j), from
+    the runs of core._diagonal_runs; keep is called once per run.
 
-    Boxes past JBOX_GUARD twists j are refused with E_GUARD before any join, and more
-    than LISTING_GUARD rows (the kept runs' lengths, summed) before any tau is expanded.
-    The dimension at tau is mult times the per-axis binomials, computed at first and
-    then stepped: x -> x+1 scales C(x+n_k, n_k) (sections) and C(-x-1, n_k) (top)
-    alike by (x+n_k+1)/(x+1), one multiply and one exact divide per row.
+    Boxes past JBOX_GUARD twists j are refused with E_GUARD before any join, and the join
+    stops with E_GUARD once the kept runs' lengths, summed as it yields them, pass
+    LISTING_GUARD rows.  The dimension at tau is mult times the per-axis binomials, computed
+    at first and then stepped: x -> x+1 scales C(x+n_k, n_k) (sections) and C(-x-1, n_k)
+    (top) alike by (x+n_k+1)/(x+1), one multiply and one exact divide per row.
     """
     dims = E.shape.dims
     _refuse_past(_box_size([1 - lo for lo in lows]), JBOX_GUARD, "twists j", "j-box guard")
-    runs = [run for run in _diagonal_runs(E, lows) if keep(run[0], run[1])]
-    rows = sum(last - first + 1 for _, _, first, last, _, _ in runs)
-    _refuse_past(rows, LISTING_GUARD, "rows", "listing guard")
+    rows, runs = 0, []
+    for run in _diagonal_runs(E, lows):
+        if keep(run[0], run[1]):
+            rows = _refuse_past(rows + run[3] - run[2] + 1, LISTING_GUARD, "rows", "listing guard")
+            runs.append(run)
     hits: dict[tuple[int, Degree, int], int] = {}
     for i, j, first, last, degree, mult in runs:
         xs = [a + x + first for a, x in zip(degree, j)]  # each axis's x at tau = first
@@ -173,19 +176,17 @@ def _box_hits(E: LineBundleSum, lows, keep) -> dict[tuple[int, Degree, int], int
                     den *= x + t
                 dim = dim * num // den
             hits[i, j, first + t] = hits.get((i, j, first + t), 0) + dim
-    return hits
+    return sorted(key + (dim,) for key, dim in hits.items())
 
 
 def _criterion_violations(E: LineBundleSum, caps: tuple[int, ...]) -> ViolationReport:
-    shape = E.shape
-    dims = shape.dims
+    dims = E.shape.dims
 
     def keep(i: int, j: Degree) -> bool:
         # admissible means max(1, -sum(j)) <= i < dim X; _box_hits offers 0 < i < dim X only
         return -sum(j) <= i and not _is_exceptional(dims, caps, i, j)
 
-    hits = _box_hits(E, [-n for n in dims], keep)
-    return ViolationReport(shape, tuple(sorted(key + (dim,) for key, dim in hits.items())))
+    return ViolationReport(E.shape, tuple(_box_hits(E, [-n for n in dims], keep)))
 
 
 def _require_excess_shape(shape: Shape) -> None:
@@ -335,11 +336,9 @@ def lemma14_check(E: LineBundleSum) -> Lemma14Report:
     the box of twists is the zero pattern alone, kept at degree n, and every
     witness has condition "b".
     """
-    shape = E.shape
-    n = _require_power_shape(shape)
-    s = shape.s
-    hits = _box_hits(E, [0] * s, lambda t, g: t == n)
-    witnesses = sorted([("b", t, g, tau, dim) for (t, g, tau), dim in hits.items()])
+    n = _require_power_shape(E.shape)
+    s = E.shape.s
+    witnesses = [("b",) + row for row in _box_hits(E, [0] * s, lambda t, g: t == n)]
     return Lemma14Report(not witnesses, tuple(witnesses), (s * n + 1,))
 
 

@@ -94,6 +94,11 @@ def test_cohomology_needs_t_or_box(capsys):
     assert err.startswith("E_USAGE:")
 
 
+def test_cohomology_negative_box(capsys):
+    assert run(capsys, "cohomology", "--bundle", O22, "--box", "-1") == (
+        2, "", "E_RANGE: box bound must be >= 0, got -1\n")
+
+
 # ------------------------------------------------------------------ regularity
 
 def test_regularity_structure_sheaf(capsys):
@@ -146,6 +151,11 @@ def test_acm_rank_two_has_no_closed_form_field(capsys):
     code, out, _ = run(capsys, "acm", "--bundle", bundle)
     assert code == 0
     assert "closed_form" not in json.loads(out)
+
+
+def test_acm_csv(capsys):
+    bundle = '{"shape":[2,2],"summands":[{"degree":[0,3]},{"degree":[1,1]}]}'
+    assert run(capsys, "acm", "--bundle", bundle, "--format", "csv") == (0, "i,t\n2,-3\n", "")
 
 
 # --------------------------------------------------------------------- koszul
@@ -232,6 +242,12 @@ def test_check_thm13_needs_r(capsys):
     assert code == 2 and err.startswith("E_USAGE:")
     code, _, _ = run(capsys, "check", "thm13", "--bundle", O22, "--r", "1,1")
     assert code == 0
+
+
+@pytest.mark.parametrize("criterion", ["thm12", "lemma14"])
+def test_check_r_only_applies_to_thm13_and_miyazaki(capsys, criterion):
+    assert run(capsys, "check", criterion, "--bundle", O22, "--r", "1,1") == (
+        2, "", f"E_USAGE: --r does not apply to {criterion}\n")
 
 
 def test_check_lemma14_json_document(capsys):
@@ -426,7 +442,7 @@ def test_diagonal_guard_exit(capsys, monkeypatch, argv, count):
 
 
 @pytest.mark.parametrize("degree, r, expected", [
-    ("0,1000000", "0,0", (2, "", "E_GUARD: 9974000001 rows exceed the listing guard of 100000\n")),
+    ("0,1000000", "0,0", (2, "", "E_GUARD: 1000000 rows exceed the listing guard of 100000\n")),
     ("1000000,0", "4999,1", (0, "[]\n", "")),
 ])
 def test_check_long_factor_far_apart_exit(capsys, degree, r, expected):
@@ -436,6 +452,21 @@ def test_check_long_factor_far_apart_exit(capsys, degree, r, expected):
     result = run(capsys, "check", "thm13", "--bundle", bundle, "--r", r)
     assert time.perf_counter() - start < 1
     assert result == expected
+
+
+def test_check_listing_guard_stops_the_join(capsys, monkeypatch):
+    # 58 far-apart summands join under the diagonal-join guard, but their kept runs hold
+    # about 10^7 rows: the refusal comes once the count passes 10^5, not after the whole join
+    calls = []
+    real = cli.criteria._is_exceptional
+    monkeypatch.setattr(cli.criteria, "_is_exceptional",
+                        lambda *args: calls.append(1) or real(*args))
+    bundle = json.dumps({"shape": [2] * 8, "summands": far_apart_summands(58)})
+    start = time.perf_counter()
+    result = run(capsys, "check", "thm13", "--r", "0,0,0,0,0,0,0,0", "--bundle", bundle)
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", "E_GUARD: 100001 rows exceed the listing guard of 100000\n")
+    assert len(calls) < 10**5
 
 
 # --------------------------------------------------------------------- errors

@@ -280,6 +280,10 @@ def test_bundle_canonical_form():
     assert str(a + b + a) == "O(-2,3) + O(0,1)^2"
     with pytest.raises(InputError):
         line_bundle([1, 1], (0, 1)) + line_bundle([1, 2], (0, 1))
+    with pytest.raises(InputError) as e:
+        LineBundleSum((1, 1), ())
+    assert (e.value.code, str(e.value)) == (
+        "E_RANGE", "a line bundle sum needs at least one summand")
 
 
 def test_rank_and_degrees():
@@ -577,3 +581,10 @@ def test_bundle_json_defaults_and_errors():
         with pytest.raises(InputError) as e:
             bundle_from_json(bad)
         assert e.value.code == "E_JSON"
+    for bad, message in [
+        ("[1]", "bundle JSON must be an object"),
+        ('{"shape":[1],"summands":[{"degree":[0]}],"x":1}', "unknown bundle keys: ['x']"),
+    ]:
+        with pytest.raises(InputError) as e:
+            bundle_from_json(bad)
+        assert (e.value.code, str(e.value)) == ("E_JSON", message)

@@ -496,12 +496,23 @@ def test_check_row_guard(monkeypatch):
     thm12_violations, lambda E: thm13_violations(E, (1, 2)), lemma14_check,
 ], ids=["thm12", "thm13", "lemma14"])
 @pytest.mark.parametrize("gap", [10**9, -(10**9)])
-def test_check_row_guard_counts_before_expanding(check, gap):
-    # a gap of 10^9 puts about 10^9 rows on a ray; refused before any tau is listed
+def test_check_row_guard_counts_before_expanding(monkeypatch, check, gap):
+    # a gap of 10^9 puts about 10^9 rows on a ray; refused before any row's dimension
+    import multicoh.criteria as criteria
+
+    def no_dims(*args):
+        raise AssertionError("a row's dimension was computed")
+
+    monkeypatch.setattr(criteria, "_line_cohomology", no_dims)
     with pytest.raises(InputError) as e:
         check(bundle((2, 2), (0, 0), (0, gap)))
     assert e.value.code == "E_GUARD"
     assert str(e.value).endswith(" rows exceed the listing guard of 100000")
+
+
+def test_violation_report_to_rows():
+    assert thm12_violations(bundle((2, 2), (0, 3))).to_rows() == [
+        {"i": 2, "j": [-1, -1], "t": -2, "dim": 1}, {"i": 2, "j": [0, 0], "t": -3, "dim": 1}]
 
 
 @st.composite
@@ -588,7 +599,7 @@ def test_check_join_work_does_not_grow_with_the_gaps(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(InputError) as e:
         thm13_violations(line_bundle((4999, 1), (0, 10**6)), (0, 0))
-    assert str(e.value) == "9974000001 rows exceed the listing guard of 100000"
+    assert str(e.value) == "1000000 rows exceed the listing guard of 100000"
     assert thm13_violations(line_bundle((4999, 1), (10**6, 0)), (4999, 1)).empty
     assert time.perf_counter() - start < 1
     assert len(calls) <= 2 * 10**4
@@ -609,7 +620,8 @@ def test_check_rows_of_a_large_factor_step_their_dims():
 @given(st.data())
 def test_box_hit_dims_match_line_cohomology(data):
     """Dimensions stepped along runs of up to about 60 diagonal twists, on sections and
-    top axes alike, against _line_cohomology summed over the summands at each row."""
+    top axes alike, against _line_cohomology summed over the summands at each row, in
+    sorted rows."""
     import multicoh.criteria as criteria
     from multicoh.core import _line_cohomology
 
@@ -618,7 +630,9 @@ def test_box_hit_dims_match_line_cohomology(data):
     degrees = data.draw(st.lists(st.tuples(*[coord] * len(dims)), min_size=1, max_size=3))
     E = bundle(dims, *degrees)
     lows = [data.draw(st.integers(-n, 0), label="low") for n in dims]
-    for (i, j, tau), dim in criteria._box_hits(E, lows, lambda i, j: True).items():
+    rows = criteria._box_hits(E, lows, lambda i, j: True)
+    assert rows == sorted(rows)
+    for i, j, tau, dim in rows:
         want = 0
         for degree, mult in E.summands:
             q, d = _line_cohomology(dims, [a + x + tau for a, x in zip(degree, j)])
