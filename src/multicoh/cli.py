@@ -24,10 +24,14 @@ from .core import (
     InputError,
     LineBundleSum,
     Shape,
+    _refuse_past,
     bundle_from_json,
     cohomology_table,
     sum_cohomology_dim,
+    twist,
 )
+
+FILE_GUARD = 10_000_000  # bytes of a bundle file: about 1 s and 250 MB to parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +56,10 @@ def _load_bundle(source: str) -> LineBundleSum:
     text = source.strip()
     if not text.startswith("{"):
         try:
-            text = Path(source).read_text(encoding="utf-8")
+            with Path(source).open("rb") as f:  # never read past one byte over the limit
+                data, more = f.read(FILE_GUARD), f.read(1)
+            _refuse_past(None if more else len(data), FILE_GUARD, "bytes", "bundle-file guard")
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # as read_text
         except (OSError, UnicodeDecodeError) as e:
             raise InputError("E_JSON", f"cannot read bundle file {source!r}: {e}")
     return bundle_from_json(text)
@@ -144,7 +151,7 @@ def _cmd_regularity(args) -> int:
     if args.m is not None:
         m = _int_vector(args.m, "--m")
         doc["m"] = list(m)
-        doc["m_regular"] = regularity.is_m_regular(E, m).regular
+        doc["m_regular"] = regularity.is_globally_generated(twist(E, m))  # E(m) is 0-regular
     if args.format == "json":
         print(_dump(doc))
     elif args.format == "csv":

@@ -41,6 +41,7 @@ Degree = tuple[int, ...]
 BOX_GUARD = 1_000_000  # twists a box join may cover: (2B+1)^s for a table
 TABLE_GUARD = 10_000_000  # (twist, summand) pairs a box join may cover: a few seconds of join
 DIAGONAL_GUARD = 30_000_000  # j entries a diagonal join may write: about 1 s of join on (P^2)^8
+JBOX_GUARD = 10_000  # twists j of a diagonal join's box, checked before its j entries are counted
 COUNT_BITS = 1 << 18  # guards work out a count only below about this many bits: past all limits
 
 
@@ -196,11 +197,8 @@ def factor_cohomology_dim(n: int, a: int, q: int) -> int:
     """dim H^q(P^n, O(a)).  Nonzero only at q = 0 (a >= 0) or q = n (a <= -n-1)."""
     if n < 1:
         raise InputError("E_RANGE", f"projective space dimension must be >= 1, got {n}")
-    if q == 0 and a >= 0:
-        return comb(a + n, n)
-    if q == n and a <= -n - 1:
-        return comb(-a - 1, n)
-    return 0
+    t, dim = _line_cohomology((n,), (a,))
+    return dim if t == q else 0
 
 
 def _line_cohomology(dims, a) -> tuple[int, int]:
@@ -367,9 +365,10 @@ def _diagonal_runs(E: LineBundleSum, lows):
     tau >= -a_k-j_k on S: one interval, which the join of the axes' cells carries,
     dropping j once it is empty.  A summand has at most s phases, each yields a j at
     most once, and level k of a join holds at most box_k j's, the box of j_1..j_k, whatever
-    the gaps of a.  Past DIAGONAL_GUARD j entries, all phases times sum(k * box_k), it refuses.
+    the gaps of a.  It refuses past JBOX_GUARD twists j, then past DIAGONAL_GUARD j entries.
     """
     dims = E.shape.dims
+    _refuse_past(_box_size([1 - lo for lo in lows]), JBOX_GUARD, "twists j", "j-box guard")
     summands = []
     for degree, mult in E.summands:
         ends = [-a - lo - n for a, lo, n in zip(degree, lows, dims)]

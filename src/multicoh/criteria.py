@@ -10,7 +10,8 @@ finite exceptional set of tuples where the allowed summands themselves
 have cohomology.  The conclusions allow summands O(l*(1,...,1) + c*e_k)
 with a per-axis cap on the excess c: cap 2 on every axis for the fixed
 criterion (thm12), a caller-chosen cap vector r with 0 <= r_k <= n_k for
-the parametrized one (thm13).
+the parametrized one (thm13).  A degree has that form, c >= 0, exactly
+when every coordinate but at most one equals its minimum l (_axis_form).
 
 The exceptional set is computed from the allowed forms themselves: a
 summand with excess c >= 1 on axis k has its cohomology concentrated in
@@ -24,9 +25,9 @@ The balanced-power criterion (lemma14) lives on (P^n)^s and bounds the
 pairwise gaps of every summand degree by n.
 
 A hypothesis is checked per summand over its whole box of twists j: the
-runs of core._diagonal_runs give each (i, j) with H^i != 0 together with its
-interval of diagonal twists; each is filtered, and its rows counted, as the join
-yields it (see _box_hits).
+runs of core._diagonal_runs, a join that applies its own guards, give each
+(i, j) with H^i != 0 with its interval of diagonal twists; each is
+filtered, and its rows counted, as the join yields it (see _box_hits).
 
 desk_scale_audit cross-tabulates hypothesis against conclusion over every
 canonical bundle in a degree box up to a rank cap.  On a direct sum both
@@ -64,8 +65,6 @@ AUDIT_GUARD = 10_000_000
 DEGREE_GUARD = 10_000
 # Rows an audit or a check may list: mismatch bundles, or (i, j, tau) hits of a check.
 LISTING_GUARD = 100_000
-# Twists j in a check's box; no level of a summand's phase join holds more than this.
-JBOX_GUARD = 10_000
 
 
 class HypothesisDomainError(InputError):
@@ -151,14 +150,13 @@ def _box_hits(E: LineBundleSum, lows, keep) -> list[tuple[int, Degree, int, int]
     lows_k <= j_k <= 0 (lows_k >= -n_k) and the degrees 0 < i < dim X with keep(i, j), from
     the runs of core._diagonal_runs; keep is called once per run.
 
-    Boxes past JBOX_GUARD twists j are refused with E_GUARD before any join, and the join
-    stops with E_GUARD once the kept runs' lengths, summed as it yields them, pass
-    LISTING_GUARD rows.  The dimension at tau is mult times the per-axis binomials, computed
-    at first and then stepped: x -> x+1 scales C(x+n_k, n_k) (sections) and C(-x-1, n_k)
-    (top) alike by (x+n_k+1)/(x+1), one multiply and one exact divide per row.
+    The join applies its own guards (core.JBOX_GUARD, then core.DIAGONAL_GUARD) before it
+    yields a run, and stops with E_GUARD once the kept runs' lengths, summed as it yields
+    them, pass LISTING_GUARD rows.  The dimension at tau is mult times the per-axis
+    binomials, computed at first and then stepped: x -> x+1 scales C(x+n_k, n_k) (sections)
+    and C(-x-1, n_k) (top) alike by (x+n_k+1)/(x+1), one multiply and one exact divide per row.
     """
     dims = E.shape.dims
-    _refuse_past(_box_size([1 - lo for lo in lows]), JBOX_GUARD, "twists j", "j-box guard")
     rows, runs = 0, []
     for run in _diagonal_runs(E, lows):
         if keep(run[0], run[1]):
@@ -242,17 +240,12 @@ class SplitForm:
 
 
 def _axis_form(degree: Degree, caps: tuple[int, ...]) -> tuple[int, int | None, int] | None:
-    if len(degree) == 1:
-        return (degree[0], None, 0)
-    for k in range(len(degree)):
-        others = degree[:k] + degree[k + 1:]
-        if any(x != others[0] for x in others):
-            continue
-        ell = others[0]
-        c = degree[k] - ell
-        if 0 <= c <= caps[k]:
-            return (ell, k if c else None, c)
-    return None
+    """degree as (l, k, c): l*(1,...,1) + c*e_k, 0 <= c <= caps[k], k None if c = 0; or None."""
+    ell = min(degree)
+    above = [(k, x - ell) for k, x in enumerate(degree) if x != ell]
+    if len(above) > 1 or above and above[0][1] > caps[above[0][0]]:
+        return None
+    return (ell, *above[0]) if above else (ell, None, 0)
 
 
 def _match_forms(E: LineBundleSum, caps: tuple[int, ...]) -> SplitForm:

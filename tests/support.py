@@ -13,7 +13,8 @@ pattern and degree, twist by twist over a window of diagonal twists that
 holds every candidate endpoint, instead of cutting each summand's window
 into phases and joining its per-axis cells with their intervals of twists.
 The table renderer flattens each row into its cells and sorts by them,
-instead of sorting the rows as tuples.
+instead of sorting the rows as tuples.  The split-form oracle tries every
+l, k and c, instead of reading the form off the minimum coordinate.
 """
 
 from __future__ import annotations
@@ -211,6 +212,17 @@ def compositions(total: int) -> list[tuple[int, ...]]:
     for first in range(1, total + 1):
         out.extend((first,) + rest for rest in compositions(total - first))
     return out
+
+
+def split_form_oracle(degree, caps) -> tuple[int, int | None, int] | None:
+    """(l, k, c) with degree = l*(1,...,1) + c*e_k and 0 <= c <= caps[k], the least c first
+    (k None when c = 0), or None, found by trying every l, k and c in turn."""
+    for c in range(max(caps) + 1):
+        for k in range(len(degree)):
+            for ell in range(min(degree) - c, max(degree) + 1):
+                if c <= caps[k] and all(x == ell + c * (i == k) for i, x in enumerate(degree)):
+                    return (ell, k if c else None, c)
+    return None
 
 
 def criterion_sides(E: LineBundleSum, criterion: str, r=None) -> tuple[bool, bool]:

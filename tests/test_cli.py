@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -238,8 +239,7 @@ def test_check_csv_header(capsys):
 
 
 def test_check_thm13_needs_r(capsys):
-    code, _, err = run(capsys, "check", "thm13", "--bundle", O22)
-    assert code == 2 and err.startswith("E_USAGE:")
+    assert run(capsys, "check", "thm13", "--bundle", O22) == (2, "", "E_USAGE: thm13 needs --r\n")
     code, _, _ = run(capsys, "check", "thm13", "--bundle", O22, "--r", "1,1")
     assert code == 0
 
@@ -266,8 +266,8 @@ def test_check_miyazaki(capsys):
     code, out, _ = run(capsys, "check", "miyazaki", "--bundle", O22)
     assert code == 0 and json.loads(out) == []
     bad = '{"shape":[1,1,1],"summands":[{"degree":[0,0,0],"mult":1}]}'
-    code, _, err = run(capsys, "check", "miyazaki", "--bundle", bad)
-    assert code == 2 and err.startswith("E_DOMAIN:")
+    assert run(capsys, "check", "miyazaki", "--bundle", bad) == (
+        2, "", "E_DOMAIN: two-factor criterion needs exactly two factors\n")
 
 
 def test_check_rejects_unknown_criterion(capsys):
@@ -312,6 +312,23 @@ def test_audit_thm13_r_plumbing(capsys):
         "--bound", "1", "--max-rank", "1",
     )
     assert code == 2 and err.startswith("E_USAGE:")
+
+
+CAPS_TEXT = "E_USAGE: caps r only apply to criterion thm13\n"
+
+
+# thm12 checks its shape before --r, lemma14 --r before its shape
+@pytest.mark.parametrize("shape, criterion, r, err", [
+    ("2,2", "thm13", [], "E_USAGE: criterion thm13 needs a cap vector r\n"),
+    ("2,2", "thm12", ["--r", "1,1"], CAPS_TEXT),
+    ("1,1", "thm12", ["--r", "1,1"],
+     "E_DOMAIN: excess-2 criterion needs every factor of dimension >= 2\n"),
+    ("1,2", "lemma14", ["--r", "1,1"], CAPS_TEXT),
+    ("1,2", "lemma14", [], "E_DOMAIN: balanced-power criterion needs (P^n)^s with s >= 2\n"),
+])
+def test_audit_criterion_refusals(capsys, shape, criterion, r, err):
+    argv = ["audit", "--shape", shape, "--criterion", criterion, "--bound", "1", "--max-rank", "1"]
+    assert run(capsys, *argv, *r) == (2, "", err)
 
 
 def test_audit_guard_exit(capsys):
@@ -557,6 +574,55 @@ def test_bundle_from_file(capsys, tmp_path):
     code, out, _ = run(capsys, "regularity", "--bundle", str(path))
     assert code == 0
     assert json.loads(out)["zero_regular"] is True
+
+
+def test_bundle_file_guard(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "bundle.json"
+    path.write_text(O22)
+    monkeypatch.setattr(cli, "FILE_GUARD", len(O22))
+    assert run(capsys, "regularity", "--bundle", str(path))[0] == 0
+    monkeypatch.setattr(cli, "FILE_GUARD", len(O22) - 1)
+    assert run(capsys, "regularity", "--bundle", str(path)) == (
+        2, "", f"E_GUARD: more than {len(O22) - 1} bytes exceed the bundle-file guard of "
+               f"{len(O22) - 1}\n")
+    # an endless file is refused after one byte past the limit, not read until memory runs out
+    monkeypatch.undo()
+    start = time.perf_counter()
+    assert run(capsys, "cohomology", "--bundle", "/dev/zero", "--t", "0") == (
+        2, "", "E_GUARD: more than 10000000 bytes exceed the bundle-file guard of 10000000\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_bundle_from_stdin():
+    argv = [sys.executable, "-m", "multicoh.cli", "cohomology", "--bundle", "/dev/stdin", "--t", "4"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(argv, input=CANONICAL.encode(), capture_output=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, b'[{"t":4,"twist":[0,0],"dim":1}]\n', b"")
+
+
+README_TEXT = (SRC.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """(command, output) of each '$ multicoh ...' example in the README's code blocks."""
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```$", README_TEXT, re.M | re.S):
+        for example in block.strip("\n").split("\n\n"):
+            command, _, output = example.partition("\n")
+            if command.startswith("$ multicoh "):
+                examples.append((command, output + "\n"))
+    return examples
+
+
+def test_readme_examples_are_all_found():
+    assert len(readme_examples()) == README_TEXT.count("\n$ multicoh ") > 0
+
+
+@pytest.mark.parametrize("command, output", readme_examples(),
+                         ids=[command.split()[2] for command, _ in readme_examples()])
+def test_readme_example_output(capsys, command, output):
+    assert run(capsys, *shlex.split(command)[2:]) == (0, output, "")
 
 
 def test_identical_invocations_identical_bytes(capsys):

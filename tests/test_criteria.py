@@ -35,8 +35,11 @@ from support import (
     bundles_st,
     criterion_rows_oracle,
     criterion_sides,
+    degree_coord,
     forbid_diagonal_join,
     lemma14_rows_oracle,
+    shapes_st,
+    split_form_oracle,
 )
 
 
@@ -249,6 +252,25 @@ def test_thm13_match_examples():
             thm13_conclusion_match(E, (2, 2)).matched
             == thm12_conclusion_match(E).matched
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_split_forms_match_the_oracle(data):
+    """thm13_conclusion_match against split_form_oracle, on degrees drawn near the split
+    forms l*(1,...,1) + c*e_k (c from -1 to n_k + 1) and at random, under random caps."""
+    dims = data.draw(shapes_st, label="dims")
+    caps = tuple(data.draw(st.integers(0, n), label="cap") for n in dims)
+    near = st.tuples(degree_coord, st.integers(0, len(dims) - 1), st.integers(-1, max(dims) + 1))
+    degrees = data.draw(st.lists(st.one_of(
+        near.map(lambda f: tuple(f[0] + f[2] * (i == f[1]) for i in range(len(dims)))),
+        st.tuples(*[degree_coord] * len(dims))), min_size=1, max_size=3), label="degrees")
+    form = thm13_conclusion_match(bundle(dims, *degrees), caps)
+    want = [(degree, split_form_oracle(degree, caps)) for degree in sorted(set(degrees))]
+    offenders = [degree for degree, found in want if found is None]
+    assert form.matched == (not offenders)
+    assert form.offender == (offenders[0] if offenders else None)
+    assert form.assignment == (() if offenders else tuple((d,) + f for d, f in want))
 
 
 # -------------------------------------------------------------------- lemma14
@@ -557,6 +579,7 @@ def test_check_row_guard_counts_each_summand_rows(case):
 
 def test_check_jbox_guard_refuses_before_any_join(monkeypatch):
     import multicoh.criteria as criteria
+    from multicoh.core import _diagonal_runs
 
     def no_keep(*args):
         raise AssertionError("a twist j was joined")
@@ -571,6 +594,14 @@ def test_check_jbox_guard_refuses_before_any_join(monkeypatch):
     # a box whose size is not worked out: more than COUNT_BITS bits of factor dimensions
     with pytest.raises(InputError) as e:
         thm13_violations(line_bundle((2**300_000,) * 2, (0, 0)), (0, 0))
+    assert str(e.value) == "more than 10000 twists j exceed the j-box guard of 10000"
+    # the join sizes its own box before it multiplies out the box_k of its entry count
+    s = 2**19
+    E = line_bundle((1,) * s, (0,) * (s - 1) + (-3,))
+    start = time.perf_counter()
+    with pytest.raises(InputError) as e:
+        list(_diagonal_runs(E, [-1] * s))
+    assert time.perf_counter() - start < 1
     assert str(e.value) == "more than 10000 twists j exceed the j-box guard of 10000"
     # lemma14's box is the one twist j = 0 on any number of factors: degree 0 has no phase
     s = criteria.COUNT_BITS + 1
@@ -641,21 +672,21 @@ def test_box_hit_dims_match_line_cohomology(data):
 
 
 def test_check_jbox_guard_boundary(monkeypatch):
-    import multicoh.criteria as criteria
+    import multicoh.core as core
 
     E = line_bundle((2, 2, 2, 2), (0, 1, 2, 3))
     rows = thm12_violations(E).rows
-    monkeypatch.setattr(criteria, "JBOX_GUARD", 81)
+    monkeypatch.setattr(core, "JBOX_GUARD", 81)
     assert thm12_violations(E).rows == rows
-    monkeypatch.setattr(criteria, "JBOX_GUARD", 80)
+    monkeypatch.setattr(core, "JBOX_GUARD", 80)
     with pytest.raises(InputError) as e:
         thm12_violations(E)
     assert str(e.value) == "81 twists j exceed the j-box guard of 80"
     # lemma14 joins the zero pattern alone, on any (P^n)^s
-    monkeypatch.setattr(criteria, "JBOX_GUARD", 1)
+    monkeypatch.setattr(core, "JBOX_GUARD", 1)
     assert lemma14_check(line_bundle((1,) * 20, (0,) + (2,) * 19)).witnesses
     assert lemma14_check(line_bundle((3,) * 20, (0,) + (4,) * 19)).witnesses
-    monkeypatch.setattr(criteria, "JBOX_GUARD", 0)
+    monkeypatch.setattr(core, "JBOX_GUARD", 0)
     with pytest.raises(InputError) as e:
         lemma14_check(line_bundle((2, 2), (0, 2)))
     assert str(e.value) == "1 twists j exceed the j-box guard of 0"
@@ -666,8 +697,9 @@ def test_audit_usage_validation():
         desk_scale_audit((2, 2), 1, 1, "thm12", r=(1, 1))
     with pytest.raises(InputError):
         desk_scale_audit((2, 2), 1, 1, "thm13")
-    with pytest.raises(InputError):
-        desk_scale_audit((2, 2), 1, 1, "nope")
+    with pytest.raises(InputError) as e:
+        desk_scale_audit((2, 2), 1, 1, "x")
+    assert (e.value.code, str(e.value)) == ("E_USAGE", "unknown criterion 'x'")
     with pytest.raises(HypothesisDomainError):
         desk_scale_audit((1, 2), 1, 1, "lemma14")
     with pytest.raises(HypothesisDomainError):

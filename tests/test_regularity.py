@@ -93,6 +93,14 @@ def test_m_regular_monotone(E, data):
     assert is_m_regular(E, bigger).regular
 
 
+@settings(max_examples=100, deadline=None)
+@given(bundles_st(), st.data())
+def test_m_regular_is_global_generation_of_the_twist(E, data):
+    # the closed form the CLI prints as m_regular: E(m) is 0-regular iff every a + m >= 0
+    m = tuple(data.draw(degree_coord, label="m") for _ in E.shape.dims)
+    assert is_m_regular(E, m).regular == is_globally_generated(twist(E, m))
+
+
 def test_regularity_index_examples():
     assert regularity_index(line_bundle([2, 2], (0, 0))) == 0
     assert regularity_index(line_bundle([2, 2], (-3, 2))) == 3
