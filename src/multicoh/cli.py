@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from itertools import chain, starmap
+from itertools import starmap
 from pathlib import Path
 
 from . import criteria, koszul, regularity
@@ -60,7 +60,9 @@ def _load_bundle(source: str) -> LineBundleSum:
                 data, more = f.read(FILE_GUARD), f.read(1)
             _refuse_past(None if more else len(data), FILE_GUARD, "bytes", "bundle-file guard")
             text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # as read_text
-        except (OSError, UnicodeDecodeError) as e:
+        except InputError:  # the guard's refusal, itself a ValueError
+            raise
+        except (OSError, ValueError) as e:  # ValueError: bytes not UTF-8, or a NUL in the path
             raise InputError("E_JSON", f"cannot read bundle file {source!r}: {e}")
     return bundle_from_json(text)
 
@@ -85,33 +87,25 @@ def _bundle_texts(shape: Shape, bundles) -> list[str]:
 
 
 def emit_table(rows, columns: list[tuple[str, int]], fmt: str) -> str:
-    """Render rows, tuples in column order, deterministically.
+    """Render rows, tuples in column order, in the order given.
 
     columns lists (field, vector_width) pairs, vector_width 0 for a scalar
     field; a vector field is a tuple of that width in every row, and field
     names are identifiers.  json keeps vectors as arrays in one array
     document, even for one row; csv flattens them into field_1 ... field_s
     under a header that is there even with no rows; table aligns the csv
-    cells.  Rows are sorted as tuples, so input order never shows; as each
-    vector has one width, that is the order of the flattened cells.  Every
-    format fills one row template built from one field list: {i} for a scalar,
-    {i[0]},...,{i[w-1]} for a vector.  JSON prints an int as str() does, so
-    int cells fill it as they are; a column with any other cell (a str, a
-    bool) is JSON-encoded cell by cell first.
+    cells.  Every producer in this package returns its rows sorted as
+    tuples, so they are not sorted again here.  Every format fills one row
+    template built from one field list: {i} for a scalar, {i[0]},...,{i[w-1]}
+    for a vector.  json cells are ints, which JSON prints as str() does; a str
+    cell (lemma14's condition) reaches only csv and table, which print it bare.
     """
-    rows = sorted(rows)
     fields = [",".join([f"{{{i}[{k}]}}" for k in range(width)]) if width else f"{{{i}}}"
               for i, (_, width) in enumerate(columns)]
     if fmt == "json":
-        if not rows:
-            return "[]"
-        line = []
-        for i, ((name, width), field, cells) in enumerate(zip(columns, fields, zip(*rows))):
-            if not {int}.issuperset(map(type, chain.from_iterable(cells) if width else cells)):
-                encode = (lambda v: tuple(map(_dump, v))) if width else _dump
-                rows = [row[:i] + (encode(row[i]),) + row[i + 1:] for row in rows]
-            line.append(f'"{name}":[{field}]' if width else f'"{name}":{field}')
-        return "[{%s}]" % "},{".join(starmap(",".join(line).format, rows))
+        line = ",".join([f'"{name}":[{field}]' if width else f'"{name}":{field}'
+                         for (name, width), field in zip(columns, fields)])
+        return "[%s]" % ",".join(starmap(("{{" + line + "}}").format, rows))
     line = ",".join(fields)
     headers = [f"{name}_{k + 1}" if width else name
                for name, width in columns for k in range(width or 1)]

@@ -62,10 +62,13 @@ class Complex:
     def _columns(self):
         """sum_r (-1)^r terms[r] as (k, columns), along the axis k with fewest columns.
 
-        Zero coefficients are dropped; a column [rest, entries, roots] lists
-        the entries (a_k, c) whose degrees agree off axis k, keyed by those
-        other coordinates rest; roots holds the x = w_k + n_k at which the
-        checks found the column's sum zero, or None once it was nonzero.
+        Only an axis along which the degrees differ can give fewer columns
+        than there are degrees, so only those axes are tried (axis 0 when
+        there are none).  Zero coefficients are dropped; a column
+        [rest, entries, roots] lists the entries (a_k, c) whose degrees
+        agree off axis k, keyed by those other coordinates rest; roots holds
+        the x = w_k + n_k at which the checks found the column's sum zero,
+        or None once it was nonzero.
         The sum depends on x alone, so a check at an x in roots skips it.
         """
         signed: dict = {}
@@ -73,7 +76,8 @@ class Complex:
             for degree, mult in term.summands:
                 signed[degree] = signed.get(degree, 0) + (-1) ** r * mult
         signed = {a: c for a, c in signed.items() if c}
-        k = min(range(self.shape.s), key=lambda i: len({a[:i] + a[i + 1:] for a in signed}))
+        axes = [i for i, values in enumerate(zip(*signed)) if len(set(values)) > 1] or [0]
+        k = min(axes, key=lambda i: len({a[:i] + a[i + 1:] for a in signed}))
         columns: dict = {}
         for a, c in signed.items():
             columns.setdefault(a[:k] + a[k + 1:], []).append((a[k], c))

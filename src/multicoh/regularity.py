@@ -111,15 +111,9 @@ def acm_closed_form(a, shape) -> bool:
     shape = _as_shape(shape)
     a = _check_vector(shape, a, "degree")
     dims = shape.dims
-    lo = min(-x for x in a)
-    hi = max(-x - n - 1 for x, n in zip(a, dims))
-    if hi < lo:
-        return True
-    cursor = lo
+    cursor = min(-x for x in a)
     for dead_lo, dead_hi in sorted((-x - n, -x - 1) for x, n in zip(a, dims)):
         if dead_lo > cursor:
             return False
         cursor = max(cursor, dead_hi + 1)
-        if cursor > hi:
-            return True
-    return cursor > hi
+    return True

@@ -170,14 +170,13 @@ def lemma14_rows_oracle(E: LineBundleSum) -> tuple:
 
 
 def emit_table_oracle(rows, columns, fmt: str) -> str:
-    """What the CLI prints for rows in column order: sorted by flattened cells, then rendered."""
+    """What the CLI prints for rows in column order: flattened and rendered in the given order."""
     flat = []
     for row in rows:
         cells = []
         for value, (_, width) in zip(row, columns):
             cells.extend(value) if width else cells.append(value)
         flat.append(cells)
-    flat.sort()
     headers = []
     for name, width in columns:
         headers.extend([f"{name}_{k}" for k in range(1, width + 1)] if width else [name])

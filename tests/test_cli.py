@@ -506,6 +506,12 @@ def test_non_utf8_bundle_file(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("E_JSON: cannot read bundle file")
 
 
+def test_nul_byte_in_bundle_path(capsys):
+    code, out, err = run(capsys, "cohomology", "--bundle", "a\x00b", "--t", "0")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("E_JSON: cannot read bundle file")
+
+
 def test_deeply_nested_bundle_json(capsys, tmp_path):
     path = tmp_path / "bundle.json"
     path.write_text('{"shape":' + "[" * 200_000 + "]" * 200_000 + "}")
@@ -704,7 +710,7 @@ def test_emit_table_single_row_json_array():
     assert out == '[{"i":1,"j":[0,-1]}]'
 
 
-def test_emit_table_order_independent():
+def test_emit_table_keeps_the_given_order():
     rows = [
         (2, (0, 0)),
         (1, (-1, 0)),
@@ -713,8 +719,13 @@ def test_emit_table_order_independent():
     cols = [("i", 0), ("j", 2)]
     for fmt in ["json", "csv", "table"]:
         a = emit_table(rows, cols, fmt)
-        b = emit_table(list(reversed(rows)), cols, fmt)
-        assert a == b
+        b = emit_table(rows[::-1], cols, fmt)
+        if fmt == "json":
+            assert json.loads(b) == json.loads(a)[::-1]
+            assert [doc["i"] for doc in json.loads(a)] == [2, 1, 1]
+        else:
+            head, *lines = a.split("\n")
+            assert b.split("\n") == [head, *lines[::-1]]
 
 
 def test_emit_table_alignment():
@@ -725,17 +736,24 @@ def test_emit_table_alignment():
 
 @st.composite
 def table_st(draw):
-    """Columns, rows in column order with ties likely, and a format."""
+    """Columns, rows in column order with ties likely, and a format.
+
+    json rows hold ints only and come sorted, as every producer gives them;
+    csv and table rows may also hold str and bool cells, in any order.
+    """
+    fmt = draw(st.sampled_from(["json", "csv", "table"]))
     columns, values = [], []
     for k in range(draw(st.integers(1, 4))):
         width = draw(st.integers(0, 3))
-        kind = st.integers(-3, 3) | st.sampled_from([10**30, -(10**30)]) | st.booleans()
-        if not width and draw(st.booleans()):
-            kind = st.sampled_from(["a", "b", "ab", ""])
+        kind = st.integers(-3, 3) | st.sampled_from([10**30, -(10**30)])
+        if fmt != "json":
+            kind |= st.booleans()
+            if not width and draw(st.booleans()):
+                kind = st.sampled_from(["a", "b", "ab", ""])
         columns.append((f"c{k}", width))
         values.append(st.tuples(*[kind] * width) if width else kind)
     rows = draw(st.lists(st.tuples(*values), max_size=12))
-    return rows, columns, draw(st.sampled_from(["json", "csv", "table"]))
+    return (sorted(rows) if fmt == "json" else rows), columns, fmt
 
 
 @settings(max_examples=300, deadline=None)
@@ -743,6 +761,51 @@ def table_st(draw):
 def test_emit_table_matches_the_flattened_cell_order(table):
     rows, columns, fmt = table
     assert emit_table(rows, columns, fmt) == emit_table_oracle(rows, columns, fmt)
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def _csv_rows(argv) -> list[tuple]:
+    """The rows main prints for argv in csv, each cell parsed back to an int where it is one."""
+    return [tuple(int(c) if c.lstrip("-").isdigit() else c for c in line.split(","))
+            for line in _stdout([*argv, "--format", "csv"]).splitlines()[1:]]
+
+
+@st.composite
+def ordered_tables_st(draw):
+    """A bundle on (P^n)^s, which every criterion accepts, with a box, caps and a factor."""
+    n, s = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    offset = draw(st.integers(-6, 6))
+    degrees = draw(st.lists(st.tuples(*[st.integers(offset - 4, offset + 4)] * s),
+                            min_size=1, max_size=3))
+    bundle = json.dumps({"shape": [n] * s, "summands": [{"degree": list(a)} for a in degrees]})
+    caps = draw(st.tuples(*[st.integers(0, n)] * s))
+    return bundle, n, s, draw(st.integers(0, 2)), caps, draw(st.integers(1, s)), degrees[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ordered_tables_st())
+def test_table_rows_reach_emit_table_strictly_ascending(case):
+    # emit_table renders rows as given, so every producer must hand them over sorted
+    bundle, n, s, box, caps, factor, d = case
+    table = ["cohomology", "--bundle", bundle, "--box", str(box)]
+    for argv in [table,
+                 ["check", "thm12", "--bundle", bundle],
+                 ["check", "thm13", "--bundle", bundle, "--r", ",".join(map(str, caps))],
+                 ["check", "lemma14", "--bundle", bundle],
+                 ["regularity", "--bundle", bundle],
+                 ["acm", "--bundle", bundle],
+                 ["koszul", "--shape", ",".join([str(n)] * s), "--factor", str(factor),
+                  "--d", ",".join(map(str, d))]]:
+        rows = _csv_rows(argv)
+        assert all(a < b for a, b in zip(rows, rows[1:])), argv
+    docs = json.loads(_stdout(table))
+    assert [(doc["t"], *doc["twist"], doc["dim"]) for doc in docs] == _csv_rows(table)
 
 
 # -------------------------------------------------------------------- fuzzing
