@@ -17,29 +17,30 @@ dead factor kills every Kunneth term, and otherwise exactly one term
 survives, so O(a) has cohomology in the single degree sum(n_i over the
 top factors) or in none.  Every box and ray query joins these per-axis
 states, in one of two ways.  _box_rows joins them over a box of twists d
-and lists each nonzero H^t(E(d)); cohomology tables and the 0-regularity
-witnesses read it.  _diagonal_runs joins them over a box of twists j, at
-most n_k+1 wide on axis k, along the diagonal ray j + tau*(1,...,1), one
-phase of tau at a time, and lists runs: a j with the one interval of tau
-where a summand has H^i != 0, for the intermediate degrees 0 < i < dim X.
-The criteria, the aCM test and the nonvanishing-twist intervals read it.
-Each join refuses the inputs past its own guards with E_GUARD before any
-work.  All arithmetic is exact (Python integers); nothing here floats.
+into a dense table per degree and lists each nonzero H^t(E(d)) off it;
+cohomology tables and the 0-regularity witnesses read it.  _diagonal_runs
+joins them over a box of twists j, at most n_k+1 wide on axis k, along the
+diagonal ray j + tau*(1,...,1), one phase of tau at a time, and lists runs:
+a j with the one interval of tau where a summand has H^i != 0, for the
+intermediate degrees 0 < i < dim X.  The criteria, the aCM test and the
+nonvanishing-twist intervals read it.  Each join refuses the inputs past
+its own guards with E_GUARD before any work.  All arithmetic is exact
+(Python integers); nothing here floats.
 """
 
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import accumulate, compress, product, repeat
 from math import comb, prod
-from operator import mul
+from operator import add, mul
 
 from .intervals import IntervalSet
 
 Degree = tuple[int, ...]
 
 BOX_GUARD = 1_000_000  # twists a box join may cover: (2B+1)^s for a table
-TABLE_GUARD = 10_000_000  # (twist, summand) pairs a box join may cover: a few seconds of join
+TABLE_GUARD = 10_000_000  # (twist, summand) pairs a box join may cover: 1 to 2.5 s of join
 DIAGONAL_GUARD = 30_000_000  # j entries a diagonal join may write: about 1 s of join on (P^2)^8
 JBOX_GUARD = 10_000  # twists j of a diagonal join's box, checked before its j entries are counted
 COUNT_BITS = 1 << 18  # guards work out a count only below about this many bits: past all limits
@@ -183,8 +184,8 @@ def _canonical(shape: Shape, summands: tuple[tuple[Degree, int], ...]) -> LineBu
     it and hashes alike; anything else breaks that equality silently.
     """
     E = object.__new__(LineBundleSum)
-    object.__setattr__(E, "shape", shape)
-    object.__setattr__(E, "summands", summands)
+    E.__dict__["shape"] = shape  # frozen blocks setattr, not the instance dict
+    E.__dict__["summands"] = summands
     return E
 
 
@@ -425,40 +426,50 @@ def _box_rows(E: LineBundleSum, ranges) -> list[tuple[int, Degree, int]]:
     per axis, twists of d in all), sorted by (t, d).  More than BOX_GUARD twists, or
     TABLE_GUARD (twist, summand) pairs, are refused with E_GUARD before any join.
 
-    The box is a product of axes, and a line bundle's state is decided factor
-    by factor: on each axis a summand O(a) has live cells (x, q, c), q = 0 and
-    c = C(a_i+x+n_i, n_i) in sections, q = n_i and c = C(-a_i-x-1, n_i) at the
-    top, none on the dead band.  O(a+d) has cohomology exactly when every d_i
-    is live, in degree sum(q) and of dimension prod(c) (Kunneth), so joining
-    cells axis by axis, dim starting at the multiplicity, lists its nonzero
-    entries and nothing else.  The key t * twists + (d's position in the
-    lexicographic box) orders rows as (t, d) and is linear in the cells: axis
-    k's cell carries its mixed-radix digit (x - start_k) times the product of
-    the later axes' lengths, plus n_k * twists at the top, so the join adds
-    keys and multiplies dims.  Summands merge on the key and are sorted once.
+    On each axis a summand O(a) has live cells (x, q, c): q = 0 and c = C(a_i+x+n_i, n_i) in
+    sections, q = n_i and c = C(-a_i-x-1, n_i) at the top, none on the dead band; O(a+d) has
+    cohomology exactly when every d_i is live, in degree sum(q) and of dimension prod(c).  The
+    join of every axis but the last, dim starting at the multiplicity, gives (t, offset, scale):
+    offset is the position in the lexicographic box of the first twist with those coordinates.
+    On the last axis the top cells (x < -a-n) and the sections cells (x >= -a) are two runs of
+    adjacent positions, each added times scale into one slice of degree t + q's dense table.
+    The tables are filled one at a time, t ascending.  Sorted: product(*ranges) yields the
+    twists in position order and compress keeps it.  Exact: a slot sums products of
+    multiplicities and live binomials, all >= 1, so it is nonzero exactly where a cell landed,
+    and filter(None, arr) keeps those dims in the order compress keeps their twists.
     """
     dims = E.shape.dims
     sides = [xs.stop - xs.start for xs in ranges]  # len() of a range fails past sys.maxsize
     twists = _refuse_past(_box_size(sides), BOX_GUARD, "twists", "box guard")
     _refuse_past(twists * len(E.summands), TABLE_GUARD, "(twist, summand) pairs", "table guard")
-    merged: dict[int, int] = {}  # t * twists + position of d -> dim
+    *heads, last = ranges
+    n, lo, hi = dims[-1], last.start, last.stop
+    fills: dict[int, list] = {}  # t -> (slice start, slice stop, last-axis cells, scale)
     for degree, mult in E.summands:
-        partial = [(0, mult)]
-        scale = twists
-        for a, n, xs in zip(degree, dims, ranges):
-            scale //= len(xs)
-            cells = [((x - xs.start) * scale, comb(a + x + n, n)) if a + x >= 0 else
-                     ((x - xs.start) * scale + n * twists, comb(-a - x - 1, n))
-                     for x in xs if not -n <= a + x <= -1]
-            partial = [(key + k, dim * c) for key, dim in partial for k, c in cells]
-        if merged:
-            for key, dim in partial:
-                merged[key] = merged.get(key, 0) + dim
-        else:
-            merged = dict(partial)
-    del partial  # the last join, up to one pair per twist, is not held while rows are built
-    box = list(product(*ranges))
-    return [(key // twists, box[key % twists], merged[key]) for key in sorted(merged)]
+        partial, stride = [(0, 0, mult)], twists
+        for a, m, xs in zip(degree, dims, heads):
+            stride //= len(xs)
+            cells = [(0, (x - xs.start) * stride, comb(a + x + m, m)) if a + x >= 0 else
+                     (m, (x - xs.start) * stride, comb(-a - x - 1, m))
+                     for x in xs if not -m <= a + x <= -1]
+            partial = [(t + q, offset + o, scale * c)
+                       for t, offset, scale in partial for q, o, c in cells]
+        a = degree[-1]
+        top, sec = min(hi, -a - n), max(lo, -a)  # the last axis: top for x < top, sections from sec
+        runs = [(n, 0, top - lo, [comb(-a - x - 1, n) for x in range(lo, top)])] if lo < top else []
+        if sec < hi:
+            runs.append((0, sec - lo, hi - lo, [comb(a + x + n, n) for x in range(sec, hi)]))
+        for t, offset, scale in partial:
+            for q, start, stop, cells in runs:
+                fills.setdefault(t + q, []).append((offset + start, offset + stop, cells, scale))
+    rows = []
+    for t in sorted(fills):
+        arr = [0] * twists
+        for start, stop, cells, scale in fills.pop(t):
+            arr[start:stop] = map(add, arr[start:stop], map(mul, cells, repeat(scale)))
+        rows += zip(repeat(t), compress(product(*ranges), arr), filter(None, arr))
+        del arr  # one table at a time: up to BOX_GUARD slots
+    return rows
 
 
 def bundle_to_doc(E: LineBundleSum) -> dict:

@@ -1,12 +1,11 @@
 """Multigraded regularity and arithmetic Cohen-Macaulay tests for line bundle sums.
 
-A bundle E is 0-regular when H^t(E(j)) = 0 for every t >= 1 and every
-twist j with j_1 + ... + j_s = -t and -n_i <= j_i <= 0; it is m-regular
-when E(m) is 0-regular.  The 0-regularity test reads the nonzero
-H^t(E(j)) over that box from core._box_rows, the join of per-axis cells
-that bounds its own work, and keeps those with t = -sum(j) >= 1.  For sums of
-line bundles, O(a) is 0-regular exactly when a >= 0 componentwise and E is
-0-regular exactly when every summand is: the regularity index is a closed form.
+A bundle E is 0-regular when H^t(E(j)) = 0 for every t >= 1 and every twist j
+with j_1 + ... + j_s = -t and -n_i <= j_i <= 0; it is m-regular when E(m) is
+0-regular.  The 0-regularity test keeps the rows of core._box_rows (a dense
+table of that box per degree, within its own guards) with t = -sum(j) >= 1.
+O(a) is 0-regular exactly when a >= 0 componentwise, and a sum exactly when
+every summand is, so the regularity index is a closed form.
 
 E is aCM here when H^i(E(t, ..., t)) vanishes for every 0 < i < dim and
 every integer t, decided exactly by the runs of core._diagonal_runs at

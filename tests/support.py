@@ -33,7 +33,6 @@ from multicoh import (
     exceptional_tuples,
     lemma14_check,
     lemma14_conclusion_match,
-    line_bundle,
     sum_cohomology_dim,
     thm12_conclusion_match,
     thm12_violations,
@@ -261,11 +260,13 @@ degree_coord = st.integers(-6, 6)
 
 
 @st.composite
-def bundles_st(draw, max_rank: int = 3):
+def bundles_st(draw, max_rank: int = 3, max_mult: int = 1):
+    """Up to max_rank summands, each of multiplicity up to max_mult (equal degrees merge)."""
     dims = draw(shapes_st)
     rank = draw(st.integers(1, max_rank))
     E = None
     for _ in range(rank):
-        piece = line_bundle(dims, tuple(draw(degree_coord) for _ in dims))
+        degree = tuple(draw(degree_coord) for _ in dims)
+        piece = LineBundleSum(Shape(dims), ((degree, draw(st.integers(1, max_mult))),))
         E = piece if E is None else E + piece
     return E

@@ -477,12 +477,21 @@ def test_cohomology_table():
 
 
 @settings(max_examples=60, deadline=None)
-@given(bundles_st(), st.integers(0, 3), st.sampled_from([0] * 3 + [40, -40]), st.data())
-def test_cohomology_table_matches_oracle(E, bound, far, data):
-    # far moves one summand to degrees far outside the box, on every axis at once
+@given(bundles_st(max_mult=3), st.sampled_from([0] * 3 + [40, -40]), st.booleans(), st.data())
+def test_cohomology_table_matches_oracle(E, far, one_axis, data):
+    # far adds a summand far outside the box, on every axis at once or on one axis only; that
+    # axis then holds only sections cells (far > 0), only top cells (far < 0), or none when
+    # its coordinate puts the whole box in the dead band (n_k >= 2*bound+1)
     dims = E.shape.dims
+    bound = data.draw(st.integers(0, 5 if len(dims) <= 2 else 3), label="bound")
     if far:
-        E = E + line_bundle(dims, tuple(far + data.draw(st.integers(-3, 3)) for _ in dims))
+        if one_axis:
+            degree = [data.draw(degree_coord) for _ in dims]
+            k = data.draw(st.integers(0, len(dims) - 1), label="far axis")
+            degree[k] = data.draw(st.sampled_from([degree[k] + far, -bound - 1]))
+        else:
+            degree = [far + data.draw(st.integers(-3, 3)) for _ in dims]
+        E = E + LineBundleSum(E.shape, ((tuple(degree), data.draw(st.integers(1, 3))),))
     want = []
     for d in itertools.product(range(-bound, bound + 1), repeat=len(dims)):
         for t in range(sum(dims) + 1):

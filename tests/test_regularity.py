@@ -1,6 +1,7 @@
 """Regularity layer: 0-regularity, Reg index, global generation, aCM."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,11 +69,25 @@ def test_zero_regular_vs_brute():
 
 
 @settings(max_examples=80)
-@given(bundles_st())
+@given(bundles_st(max_mult=3))
 def test_zero_regular_witnesses_match_brute(E):
     verdict = is_zero_regular(E)
     assert verdict.witnesses == zero_regular_brute(E)
     assert verdict.regular == (not verdict.witnesses)
+
+
+def test_zero_regular_box_is_not_listed():
+    # the box of (P^2)^12 has 3^12 twists j: one dense table of them is about 4 MB,
+    # a list of the box's 12-tuples more than 70 MB
+    E = line_bundle((2,) * 12, (-1,) + (0,) * 11)
+    tracemalloc.start()
+    try:
+        verdict = is_zero_regular(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.witnesses == ((2, (-2,) + (0,) * 11, 1),)
+    assert peak < 16_000_000
 
 
 def test_is_m_regular_examples():
