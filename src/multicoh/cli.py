@@ -6,7 +6,8 @@ Exit codes: 0 on success, 1 when --strict is set and a violation or
 mismatch was found, 2 on invalid input (one-line CODE: message on
 stderr).
 
-`main` builds its parser once per process and reuses it on every call;
+`main` builds its parser once per process and parses each call's argv once:
+argv that starts with a command name goes straight to that command's parser.
 `build_parser()` returns a new parser on every call.
 """
 
@@ -304,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="exit 1 when mismatches are found")
     add_format(p)
 
+    parser.command_parsers = sub.choices  # name -> subparser, for main's dispatch
     return parser
 
 
@@ -322,8 +324,14 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        parser = _parser()
+        argv = sys.argv[1:] if argv is None else list(argv)
+        if argv and argv[0] in parser.command_parsers:  # the full parser only hands argv[1:] on
+            name, args = argv[0], parser.command_parsers[argv[0]].parse_args(argv[1:])
+        else:  # help, no or an unknown command, or a leading --
+            args = parser.parse_args(argv)
+            name = args.command
+        code = _COMMANDS[name](args)
         sys.stdout.flush()
         return code
     except InputError as e:

@@ -14,7 +14,9 @@ holds every candidate endpoint, instead of cutting each summand's window
 into phases and joining its per-axis cells with their intervals of twists.
 The table renderer flattens each row into its cells and sorts by them,
 instead of sorting the rows as tuples.  The split-form oracle tries every
-l, k and c, instead of reading the form off the minimum coordinate.
+l, k and c, instead of reading the form off the minimum coordinate.  The
+corner-pair oracle builds each whole corner degree and runs kunneth_dim on
+it, instead of taking prefix and suffix products of per-axis factors.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from multicoh import (
     LineBundleSum,
     Shape,
     admissible_tuples,
+    dualizing_degree,
     exceptional_tuples,
+    kunneth_dim,
     lemma14_check,
     lemma14_conclusion_match,
     sum_cohomology_dim,
@@ -193,6 +197,18 @@ def emit_table_oracle(rows, columns, fmt: str) -> str:
         return "\n".join(",".join(line) for line in lines)
     widths = [max(len(line[k]) for line in lines) for k in range(len(headers))]
     return "\n".join("  ".join(text.rjust(w) for text, w in zip(line, widths)) for line in lines)
+
+
+def iso_dims_oracle(dims) -> tuple[tuple[int, int], ...]:
+    """proposition_iso_dims by one kunneth_dim call per whole corner degree (quadratic in s)."""
+    shape = Shape(tuple(dims))
+    top = kunneth_dim(shape, dualizing_degree(shape), shape.total_dim)
+    h0 = kunneth_dim(shape, (0,) * shape.s, 0)
+    pairs = []
+    for k, n in enumerate(shape.dims):
+        corner = kunneth_dim(shape, tuple(-n - 1 if i == k else 0 for i in range(shape.s)), n)
+        pairs += [(corner, top), (h0, corner)]
+    return tuple(pairs)
 
 
 def all_shapes(max_total: int):

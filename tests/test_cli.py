@@ -1,5 +1,6 @@
 """Front-end behavior: output bytes, exit codes, error diagnostics."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -17,7 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multicoh import AuditReport, LineBundleSum, bundle_to_json, cli
+from multicoh import AuditReport, InputError, LineBundleSum, bundle_to_json, cli
 from multicoh.cli import build_parser, emit_table, main
 
 from support import emit_table_oracle, forbid_diagonal_join
@@ -699,6 +700,31 @@ def test_build_parser_returns_a_new_parser(capsys):
     assert before[0][0] == 2 and before[1][0] == 0
 
 
+ONE_ARGV_PER_COMMAND = [
+    ["cohomology", "--bundle", CANONICAL, "--t", "4"],
+    ["regularity", "--bundle", O22],
+    ["acm", "--bundle", O03],
+    ["koszul", "--shape", "2,2", "--factor", "1"],
+    ["check", "thm12", "--bundle", O03],
+    ["audit", "--shape", "2,2", "--criterion", "thm12", "--bound", "1", "--max-rank", "1"],
+]
+
+
+def test_each_command_parses_its_argv_once(capsys, monkeypatch):
+    parsed_by = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsed_by.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in ONE_ARGV_PER_COMMAND:
+        parsed_by.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert parsed_by == [f"multicoh {argv[0]}"]
+
+
 # ----------------------------------------------------------------- emit_table
 
 def test_emit_table_empty_csv():
@@ -1009,3 +1035,65 @@ def test_fuzzed_invocations_exit_cleanly(bundle_files, argv):
     assert code in (0, 1, 2)
     assert err == "" or DIAGNOSTIC.fullmatch(err), err[:300]
     assert (code == 2) == bool(err)
+
+
+def outcome(call, argv) -> tuple:
+    """(exit code, stdout, stderr) of call(argv), SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def two_pass(argv) -> int:
+    """main with every argv through the full parser, which hands the rest of argv on to the
+    named command's parser, and main's handlers around the command."""
+    try:
+        args = build_parser().parse_args(argv)
+        return cli._COMMANDS[args.command](args)
+    except InputError as e:
+        print(f"{e.code}: {e}", file=sys.stderr)
+        return 2
+    except ValueError as e:
+        if "integer string conversion" not in str(e):
+            raise
+        print(f"E_GUARD: a result has more than {sys.get_int_max_str_digits()} digits",
+              file=sys.stderr)
+        return 2
+
+
+PARSE_EDGES = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["check", "--help"],
+    ["check", "thm12", "--bundle", O22, "-h"],
+    ["audit", "--shape", "2,2", "-h", "--bound", "x"],
+    ["chec", "thm12", "--bundle", O22],
+    ["--"],
+    ["--", "check", "thm12", "--bundle", O22],
+    ["check", "--", "thm12", "--bundle", O22],
+    ["check", "thm12", "--bundle", O22, "--"],
+    ["check", "thm12", "--bun", O22],
+    ["check", "thm12", "--bundle=" + O22, "--he"],
+    ["cohomology", "--bundle", O22, "--t", "0", "--format=csv"],
+    ["cohomology", "--bundle", O22, "--t", "0", "--form=csv", "--=x"],
+    ["--format", "csv", "acm", "--bundle", O22],
+    ["acm", "--bundle", O22, "acm"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_EDGES,
+                         ids=[" ".join(a).replace(O22, "O22") for a in PARSE_EDGES])
+def test_parse_edges_match_the_two_pass_parse(argv):
+    assert outcome(main, argv) == outcome(two_pass, argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv_st())
+def test_fuzzed_invocations_match_the_two_pass_parse(bundle_files, argv):
+    argv = [bundle_files.get(arg, arg) for arg in argv]
+    assert outcome(main, argv) == outcome(two_pass, argv)

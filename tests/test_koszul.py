@@ -1,6 +1,7 @@
 """Factor Koszul complexes and their Euler-level exactness certificates."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from multicoh import (
     InputError,
     LineBundleSum,
     Shape,
+    core,
     euler_exactness_check,
     koszul,
     koszul_factor_complex,
@@ -18,7 +20,7 @@ from multicoh import (
 )
 from multicoh.core import _check_vector
 
-from support import all_shapes, euler_by_alternating_sum, shapes_st
+from support import all_shapes, euler_by_alternating_sum, iso_dims_oracle, shapes_st
 
 
 def test_terms_on_square():
@@ -89,6 +91,33 @@ def test_iso_dims():
 def test_iso_dims_all_small_shapes():
     for dims in all_shapes(5):
         assert all(pair == (1, 1) for pair in proposition_iso_dims(dims))
+
+
+def test_iso_dims_match_the_whole_corner_oracle():
+    for dims in all_shapes(7) + [(5, 1, 9), (30,), (1,) * 40]:
+        assert proposition_iso_dims(dims) == iso_dims_oracle(dims)
+
+
+@pytest.mark.parametrize("shift", [-3, -1, 1, 2])
+def test_iso_dims_are_computed_from_the_factor_cohomology(monkeypatch, shift):
+    # shifting every coordinate before each cohomology call moves the pairs off (1, 1); the
+    # per-axis products must then still agree with kunneth_dim on whole corner degrees
+    line_cohomology = core._line_cohomology
+    monkeypatch.setattr(core, "_line_cohomology",
+                        lambda dims, a: line_cohomology(dims, [x + shift for x in a]))
+    found = set()
+    for dims in all_shapes(5):
+        pairs = proposition_iso_dims(dims)
+        assert pairs == iso_dims_oracle(dims)
+        found.update(pairs)
+    assert found - {(1, 1)}
+
+
+def test_iso_dims_are_linear_in_the_factors():
+    start = time.perf_counter()
+    pairs = proposition_iso_dims((1,) * 20_000)
+    assert time.perf_counter() - start < 2
+    assert pairs == ((1, 1),) * 40_000
 
 
 def test_complex_shape_consistency():
