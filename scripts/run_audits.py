@@ -4,9 +4,10 @@
 Each audit enumerates every decomposable bundle with summand degrees in
 [-bound, bound]^s and rank <= max_rank, evaluates the criterion's
 vanishing hypothesis and its split-form conclusion on each bundle, and
-prints the 2x2 contingency table.  On this bundle class the excess-2
-and capped criteria are biconditionals, so any off-diagonal entry is a
-failure and the script exits nonzero.
+prints the 2x2 contingency table.  On the shapes and caps audited here
+the excess-2 and capped criteria are biconditionals, so any off-diagonal
+entry is a failure and the script exits nonzero.  (They are not on every
+shape: see the open discrepancy in the README's audit section.)
 
 The balanced-power criterion is biconditional on two factors only.  On
 three factors its vanishing conditions lose force (for n = 1 every

@@ -73,18 +73,14 @@ def _dump(obj) -> str:
 
 
 class _SummandTexts(dict):
-    """(degree, mult) -> its JSON text, encoded the first time the pair is looked up."""
+    """(degree, mult) -> encode((degree, mult)), computed the first time the pair is looked up."""
+
+    def __init__(self, encode):
+        self.encode = encode
 
     def __missing__(self, pair):
-        text = self[pair] = _dump({"degree": list(pair[0]), "mult": pair[1]})
+        text = self[pair] = self.encode(pair)
         return text
-
-
-def _bundle_texts(shape: Shape, bundles) -> list[str]:
-    """bundle_to_json of each bundle on shape, encoding the shape and each distinct summand once."""
-    head = '{"shape":%s,"summands":[' % _dump(list(shape.dims))
-    fragments = _SummandTexts()
-    return [head + ",".join(map(fragments.__getitem__, E.summands)) + "]}" for E in bundles]
 
 
 def emit_table(rows, columns: list[tuple[str, int]], fmt: str) -> str:
@@ -237,23 +233,29 @@ def _cmd_audit(args) -> int:
     r = _int_vector(args.r, "--r") if args.r else None
     report = criteria.desk_scale_audit(shape, args.bound, args.max_rank, args.criterion, r=r)
     counts = ("total", "both", "hyp_only", "concl_only", "neither")
-    if args.format == "table":
-        lines = [f"{name}: {getattr(report, name)}" for name in counts]
-        lines += [f"  mismatch {E} hypothesis={hyp} conclusion={concl}"
-                  for E, hyp, concl in report.mismatches]
-        print("\n".join(lines))
+    # A row is the template of its (hypothesis, conclusion) pair, which holds the bundle head,
+    # filled with its summand texts, each encoded once: str(E) in a table, else bundle_to_json(E).
+    fmt, quote = args.format, '""' if args.format == "csv" else '"'
+    if fmt == "table":
+        sep, head, item = " + ", "%s", "  mismatch %s hypothesis=%s conclusion=%s"
+        encode = lambda pair: str(LineBundleSum(shape, (pair,)))
     else:
-        # the bytes of _dump(report.to_json()) and bundle_to_json, each distinct part encoded once
-        rows = zip(_bundle_texts(shape, [E for E, _, _ in report.mismatches]), report.mismatches)
-        if args.format == "json":
-            head = ",".join('"%s":%d' % (name, getattr(report, name)) for name in counts)
-            item = {(hyp, concl): '{"bundle":%%s,"hypothesis":%s,"conclusion":%s}' % (
-                _dump(hyp), _dump(concl)) for hyp in (False, True) for concl in (False, True)}
-            items = [item[hyp, concl] % text for text, (_, hyp, concl) in rows]
-            print('{%s,"mismatches":[%s]}' % (head, ",".join(items)))
-        else:
-            print("\n".join(["bundle,hypothesis,conclusion"] + ['"%s",%s,%s' % (
-                text.replace('"', '""'), hyp, concl) for text, (_, hyp, concl) in rows]))
+        sep, head = ",", '{"shape":%s,"summands":[%%s]}' % _dump(list(shape.dims))
+        item = '{"bundle":%s,"hypothesis":%s,"conclusion":%s}' if fmt == "json" else '"%s",%s,%s'
+        encode = lambda pair: _dump({"degree": list(pair[0]), "mult": pair[1]}).replace('"', quote)
+    show = _dump if fmt == "json" else str
+    template = {(h, c): item % (head.replace('"', quote), show(h), show(c))
+                for h in (False, True) for c in (False, True)}
+    texts = _SummandTexts(encode)
+    rows = [template[hyp, concl] % sep.join(map(texts.__getitem__, E.summands))
+            for E, hyp, concl in report.mismatches]
+    if fmt == "json":
+        doc = ",".join('"%s":%d' % (name, getattr(report, name)) for name in counts)
+        print('{%s,"mismatches":[%s]}' % (doc, ",".join(rows)))
+    else:
+        lines = ([f"{name}: {getattr(report, name)}" for name in counts] if fmt == "table"
+                 else ["bundle,hypothesis,conclusion"])
+        print("\n".join(lines + rows))
     return 1 if (args.strict and report.mismatches) else 0
 
 

@@ -30,19 +30,14 @@ runs of core._diagonal_runs, a join that applies its own guards, give each
 filtered, and its rows counted, as the join yields it (see _box_hits).
 
 desk_scale_audit cross-tabulates hypothesis against conclusion over every
-canonical bundle in a degree box up to a rank cap.  On a direct sum both
-sides are ANDs over the summands, and on a line bundle neither side moves
-under a diagonal shift a -> a + l*(1,...,1), so it evaluates one line bundle
-per diagonal class of the box, counts the 2x2 table with multiset binomials
-over the four (hypothesis, conclusion) classes, and builds only the
-mismatches, which it reports verbatim.
+canonical bundle in a degree box up to a rank cap, with one check per diagonal
+class, and lists the mismatches by a pruned walk over sorted degree prefixes.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from functools import reduce
-from itertools import combinations_with_replacement, groupby, product
+from itertools import product
 from math import comb
-from operator import and_
 
 from .core import (
     COUNT_BITS,
@@ -403,17 +398,29 @@ def desk_scale_audit(
 ) -> AuditReport:
     """Cross-tabulate a criterion over every canonical bundle in a box.
 
-    Covers all canonical LineBundleSums with summand degrees in
-    [-bound, bound]^s and rank <= max_rank (each multiset of degrees once)
-    and reports the 2x2 counts of hypothesis against conclusion plus every
-    bundle where they disagree, by rank, then in sorted order.  Both sides
-    are ANDs over the summands and shift-invariant on a line bundle (see
-    _CRITERIA): each diagonal class of the box is evaluated once, on O(a) for
-    its first degree a, the counts are multiset binomials over the four
-    (hypothesis, conclusion) classes, and only mismatches are built.  Refuses
-    boxes beyond 10^7 candidates or 10^4 degrees (not classes) before
-    evaluating any degree, and more than 10^5 mismatches before building any
-    of them.
+    Covers all canonical LineBundleSums with summand degrees in [-bound, bound]^s
+    and rank <= max_rank, each multiset of degrees once, and reports the 2x2
+    counts of hypothesis against conclusion plus every bundle where they
+    disagree, by rank, then in sorted order.  Each diagonal class of the box is
+    evaluated once, on O(a) for its first degree a (see _CRITERIA), and the counts
+    are multiset binomials over the four (hypothesis, conclusion) classes.  Refuses
+    boxes beyond 10^7 candidates or 10^4 degrees (not classes) before evaluating
+    any degree, and more than 10^5 mismatches before building any of them.
+
+    The listing walks prefixes P: non-decreasing index tuples into the N live
+    degrees (where a side holds) in product order, each with its mask (the AND of
+    its degrees' classes; bit 1 the hypothesis, bit 2 the conclusion), last index
+    and summands.  Mismatches are the P of mask 1 or 2.  Level rho + 1 takes each
+    P of level rho in turn and adds its children P + (i), i >= last rising, whose
+    class meets its mask, but no child of mask 3 past L, the last one-sided (mask
+    1 or 2) index, or at the last rank.  Order: the levels are sorted by induction
+    (P < Q gives P + (i) < Q + (j)), and product order is sorted order.  Once:
+    P + (i) comes from P alone.  Every mismatch comes: its prefixes' masks hold
+    its own, and one of mask 3 is followed by a one-sided index, so by indices
+    <= L.  Work: no P of mask 0 is made, and a P of mask 3 has the mismatch
+    P + (L); so at most 2 * rows + 1 prefixes are made, each by one binary search
+    and one tuple copy (appending the shared (a, 1) or adding one to the last
+    multiplicity): O(rows * (rank + log N)), not O(candidates).
     """
     shape = _as_shape(shape)
     if bound < 0 or max_rank < 1:
@@ -450,20 +457,21 @@ def desk_scale_audit(
     listed = _refuse_past(hyp_only + concl_only, LISTING_GUARD, "mismatch rows", "listing guard",
                           AuditGuardError)
     mismatches = []
-    if listed:
-        # Bit 1 is the hypothesis, bit 2 the conclusion, and a bundle's mask is the AND of its
-        # degrees': 1 or 2 on a mismatch.  A degree where neither holds is in no mismatch.
-        # Combos index the live degrees in product order; each (a, 1) is shared by every
-        # mismatch that holds a once.
+    if listed:  # the walk of the docstring; pairs[i] is shared by every mismatch holding i once
         pairs, bits = zip(*[((a, 1), h + 2 * c) for a, (h, c) in flags.items() if h or c])
+        after = {m: [i for i, b in enumerate(bits) if b & m] for m in (1, 2)}
+        after[3] = [i for i, b in enumerate(bits) if b != 3]  # mask 3, at the last rank
+        level, end = [(3, 0, ())], after[3][-1] + 1
         for rho in range(1, max_rank + 1):
-            for combo in combinations_with_replacement(range(len(pairs)), rho):
-                m = reduce(and_, map(bits.__getitem__, combo))
-                if m == 1 or m == 2:
-                    if len(set(combo)) == rho:
-                        summands = tuple(map(pairs.__getitem__, combo))
-                    else:  # a sorted combo merges into canonical summands by counting its runs
-                        summands = tuple((pairs[i][0], len(list(run))) for i, run in groupby(combo))
-                    mismatches.append((_canonical(shape, summands), m == 1, m == 2))
+            children = []
+            for mask, last, summands in level:
+                indices = (range(last, end) if mask == 3 and rho < max_rank
+                           else after[mask][bisect_left(after[mask], last):])
+                if summands and indices[0] == last:  # one more of the last degree
+                    (a, k), indices = summands[-1], indices[1:]
+                    children.append((mask, last, summands[:-1] + ((a, k + 1),)))
+                children += [(mask & bits[i], i, summands + (pairs[i],)) for i in indices]
+            mismatches += [(_canonical(shape, s), m == 1, m == 2) for m, _, s in children if m != 3]
+            level = children
     neither = candidates - both - hyp_only - concl_only
     return AuditReport(candidates, both, hyp_only, concl_only, neither, tuple(mismatches))

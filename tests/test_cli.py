@@ -362,6 +362,8 @@ def test_audit_degree_guard_exit(capsys):
 
 PROBE = ["audit", "--shape", "1,1,1", "--criterion", "lemma14", "--bound", "2", "--max-rank", "2"]
 SQUARE = ["audit", "--shape", "1,1", "--criterion", "lemma14", "--bound", "3", "--max-rank", "3"]
+CAPPED = ["audit", "--shape", "3,1", "--criterion", "thm13", "--bound", "2", "--max-rank", "3",
+          "--r", "3,1"]
 
 
 @pytest.mark.parametrize("argv, fmt, digest", [
@@ -370,9 +372,14 @@ SQUARE = ["audit", "--shape", "1,1", "--criterion", "lemma14", "--bound", "3", "
     (PROBE, "table", "0b5c35cba859cc92e4562fb2c05045689fe67ac1df860a78dd739303319cfdd6"),
     (SQUARE, "json", "5163625a0154f9a92f7c6ef5a1eb7b13d36ad5ab7b830c9d0cebd43c98008290"),
     (SQUARE, "csv", "85906a7b170e1347f79bca31cc48cc65504f770a3e63c6f2c057d47b22624049"),
-], ids=["probe-json", "probe-csv", "probe-table", "square-json", "square-csv"])
+    (CAPPED, "json", "8ae092b537c1f267e913877e9b01c04fdf7018676f2fe48f3f9f12b5c7a64607"),
+    (CAPPED, "csv", "4110dff4333fc98939f9d9104414fa51e7b1b2e05ca84bf9b4880625cd79c1ef"),
+    (CAPPED, "table", "f85309e66ee1bf6e007f90096d7b6fa6ecc6c2dcd480f2cb6b050c6e8a66e1b0"),
+], ids=["probe-json", "probe-csv", "probe-table", "square-json", "square-csv",
+        "capped-json", "capped-csv", "capped-table"])
 def test_audit_stdout_is_pinned(capsys, argv, fmt, digest):
-    # the 3105-row lemma14 probe on (1,1,1) and the clean lemma14 audit on (1,1), byte for byte
+    # the 3105-row lemma14 probe on (1,1,1), the clean lemma14 audit on (1,1) and the 210-row
+    # thm13 audit on (3,1), 38 of its rows with multiplicities, byte for byte
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -401,6 +408,10 @@ def test_audit_rendering_matches_to_json_and_bundle_to_json(report):
         "json": json.dumps(report.to_json(), separators=(",", ":")),
         "csv": "\n".join(["bundle,hypothesis,conclusion"] + [
             '"%s",%s,%s' % (bundle_to_json(E).replace('"', '""'), hyp, concl)
+            for E, hyp, concl in report.mismatches]),
+        "table": "\n".join([f"{name}: {getattr(report, name)}" for name in
+                            ("total", "both", "hyp_only", "concl_only", "neither")] + [
+            f"  mismatch {E} hypothesis={hyp} conclusion={concl}"
             for E, hyp, concl in report.mismatches]),
     }
     for fmt, text in expected.items():

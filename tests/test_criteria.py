@@ -1,5 +1,6 @@
 """Splitting-criterion checkers and the enumeration auditor."""
 
+import hashlib
 import itertools
 import time
 from math import comb
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from multicoh import (
     AuditGuardError,
+    AuditReport,
     HypothesisDomainError,
     InputError,
     LineBundleSum,
@@ -692,6 +694,90 @@ def test_check_jbox_guard_boundary(monkeypatch):
     assert str(e.value) == "1 twists j exceed the j-box guard of 0"
 
 
+def hashed_sides(seed):
+    """(hypothesis, conclusion) of a line bundle O(a), two bits of a hash of its diagonal class
+    key a - min(a): shift-invariant, as _CRITERIA requires, and free to take all four values."""
+    def sides(E):
+        a = E.summands[0][0]
+        bits = hashlib.sha256(repr((seed, tuple(x - min(a) for x in a))).encode()).digest()[0]
+        return bool(bits & 1), bool(bits & 2)
+    return sides
+
+
+@pytest.mark.parametrize("shape, bound, max_rank, seed", [
+    ((1, 1), 2, 4, 0), ((1, 1), 2, 4, 1), ((1, 1, 1), 1, 3, 2), ((3, 1), 1, 4, 3),
+    ((1, 2), 2, 3, 5),
+])
+def test_audit_listing_matches_brute_force_on_a_hashed_criterion(monkeypatch, shape, bound,
+                                                                  max_rank, seed):
+    # Real criteria give no degree the conclusion alone in the tested boxes, so only here are
+    # concl_only rows listed, and listed in one order with hyp_only rows.
+    import multicoh.criteria as criteria
+
+    sides = hashed_sides(seed)
+    monkeypatch.setitem(criteria._CRITERIA, "hashed", (
+        lambda shape, r: r, lambda E, r: sides(E)[0], lambda E, r: sides(E)[1]))
+    built, trusted = [], criteria._canonical
+    monkeypatch.setattr(criteria, "_canonical", lambda *args: built.append(args) or trusted(*args))
+    degrees = sorted(itertools.product(range(-bound, bound + 1), repeat=len(shape)))
+    flags = {a: sides(line_bundle(shape, a)) for a in degrees}
+    assert len(set(flags.values())) == 4
+    cells, expected = [0, 0, 0, 0], []
+    for rho in range(1, max_rank + 1):
+        for combo in itertools.combinations_with_replacement(degrees, rho):
+            h, c = all(flags[a][0] for a in combo), all(flags[a][1] for a in combo)
+            cells[2 * (not h) + (not c)] += 1
+            if h != c:
+                summands = tuple((a, len(list(run))) for a, run in itertools.groupby(combo))
+                expected.append((LineBundleSum(shape, summands), h, c))
+    report = desk_scale_audit(shape, bound, max_rank, "hashed")
+    assert report == AuditReport(sum(cells), *cells, mismatches=tuple(expected))
+    assert len(built) == len(report.mismatches)  # one trusted build per listed row, no more
+    assert {(h, c) for _, h, c in report.mismatches} == {(True, False), (False, True)}
+    assert any(m > 1 for E, _, _ in report.mismatches for _, m in E.summands)
+
+
+def test_audit_listing_is_linear_in_its_rows(monkeypatch):
+    import multicoh.criteria as criteria
+
+    def corner_off(E, r):  # only the class of the corner (7, -7) on P^2 x P^2 loses the conclusion
+        a1, a2 = E.summands[0][0]
+        return a1 - a2 != 14
+
+    monkeypatch.setitem(criteria._CRITERIA, "hyp-only", (
+        lambda shape, r: r, lambda E, r: True, lambda E, r: False))
+    monkeypatch.setitem(criteria._CRITERIA, "corner-off", (
+        lambda shape, r: r, lambda E, r: True, corner_off))
+    # one degree on the hypothesis side alone: 20,000 rows O(0)^rho, each one more of the last
+    start = time.perf_counter()
+    report = desk_scale_audit((2,), 0, 20000, "hyp-only")
+    assert time.perf_counter() - start < 2
+    rows = tuple((LineBundleSum((2,), (((0,), rho),)), True, False) for rho in range(1, 20001))
+    assert report == AuditReport(20000, 0, 20000, 0, 0, mismatches=rows)
+    # 25,651 rows among 1,949,475 candidates: a prefix where both sides hold is extended only
+    # while a one-sided degree can follow, so the walk never visits the candidates
+    start = time.perf_counter()
+    report = desk_scale_audit((2, 2), 7, 3, "corner-off")
+    assert time.perf_counter() - start < 0.6
+    assert (report.total, report.hyp_only, len(report.mismatches)) == (1949475, 25651, 25651)
+    assert all((7, -7) in E.degrees() for E, _, _ in report.mismatches)
+
+
+def test_thm13_hypothesis_holds_past_the_caps_on_p3_x_p1():
+    """Open discrepancy, pinned as it is.  On P^3 x P^1 at r = (3, 1) the encoded thm13
+    hypothesis holds on every O(a) of the box with a_1 - a_2 >= 4, whose excess on the P^3 axis
+    passes its cap 3, so the conclusion fails: O(2, -2) has excess 4.  Such a line bundle has
+    intermediate cohomology in degree 1 alone, and at these caps every admissible (1, j) is
+    exceptional, so no vanishing is asked of it.  Whether the encoded exceptional rule exempts
+    more than the paper's theorem, or the theorem asks more of r or n_k, is not settled here;
+    a change to a domain or to the exceptional rule must restate this test."""
+    report = desk_scale_audit((3, 1), 3, 1, "thm13", r=(3, 1))
+    assert (report.total, report.both, report.hyp_only, report.concl_only) == (49, 28, 6, 0)
+    degrees = [(1, -3), (2, -3), (2, -2), (3, -3), (3, -2), (3, -1)]
+    assert report.mismatches == tuple((line_bundle((3, 1), a), True, False) for a in degrees)
+    assert thm13_conclusion_match(line_bundle((3, 1), (2, -2)), (3, 1)).offender == (2, -2)
+
+
 def test_audit_usage_validation():
     with pytest.raises(InputError):
         desk_scale_audit((2, 2), 1, 1, "thm12", r=(1, 1))
@@ -719,13 +805,18 @@ def test_audit_totals_match_multiset_count():
     + [("lemma14", (1, 1, 1), 2, 2, None), ("lemma14", (1, 1), 3, 3, None)]
     # boxes where one diagonal class holds several degrees, under caps too
     + [("thm13", (2, 3), 2, 1, (1, 2)), ("thm13", (2, 3), 2, 1, (2, 0)),
-       ("thm12", (2, 2), 3, 1, None), ("lemma14", (2, 2, 2), 2, 1, None)],
+       ("thm12", (2, 2), 3, 1, None), ("lemma14", (2, 2, 2), 2, 1, None)]
+    # mismatch rows with multiplicities, ranks 1-3, from a real criterion
+    + [("thm13", (3, 1), 2, 3, (3, 1))],
 )
 def test_audit_matches_brute_force_oracle(criterion, shape, bound, max_rank, r):
     report = desk_scale_audit(shape, bound, max_rank, criterion, r=r)
     assert report == audit_oracle(shape, bound, max_rank, criterion, r)
     if (criterion, shape) == ("lemma14", (1, 1, 1)):
         assert report.hyp_only == len(report.mismatches) == 3105
+    if (criterion, shape) == ("thm13", (3, 1)):
+        mults = [max(m for _, m in E.summands) for E, _, _ in report.mismatches]
+        assert len(mults) == 210 and sum(m > 1 for m in mults) == 38
 
 
 @st.composite
