@@ -17,7 +17,8 @@ import json
 import os
 import re
 import sys
-from itertools import starmap
+from itertools import compress, product, starmap
+from operator import add
 from pathlib import Path
 
 from . import criteria, koszul, regularity
@@ -25,6 +26,8 @@ from .core import (
     InputError,
     LineBundleSum,
     Shape,
+    _box_ranges,
+    _box_tables,
     _refuse_past,
     bundle_from_json,
     cohomology_table,
@@ -127,10 +130,34 @@ def _cmd_cohomology(args) -> int:
     if args.t is not None:
         d = _int_vector(args.twist, "--twist") if args.twist else (0,) * s
         rows = [(args.t, d, sum_cohomology_dim(E, d, args.t))]
-    else:
+    elif args.format != "table":
+        print(_box_text(E, args.box, args.format))
+        return 0
+    else:  # aligned output needs every column's width before its first row: keep the rows
         rows = cohomology_table(E, args.box).rows
     print(emit_table(rows, columns, args.format))
     return 0
+
+
+def _box_text(E: LineBundleSum, bound: int, fmt: str) -> str:
+    """emit_table's json or csv of cohomology_table(E, bound).rows, made from the box join's
+    tables: each table's nonzero slots pick their twists' texts, each made once, in row order.
+    Every table has a nonzero slot, so each makes at least one row."""
+    ranges = _box_ranges(E, bound)
+    tables = _box_tables(E, ranges)  # refuses past the guards before any text is built
+    if fmt == "json":
+        head, mid, end, sep = '{"t":%d,"twist":[', '],"dim":', "}", ","
+    else:
+        head, mid, end, sep = "%d,", ",", "", "\n"
+    texts = [",".join(p) + mid for p in product(*[map(str, xs) for xs in ranges])]
+    parts = []
+    for t, arr in tables:
+        parts.append(head % t + (end + sep + head % t).join(
+            map(add, compress(texts, arr), map(str, filter(None, arr)))) + end)
+        del arr  # one table at a time, as in _box_rows
+    if fmt == "json":
+        return "[%s]" % ",".join(parts)
+    return "\n".join([emit_table((), [("t", 0), ("twist", E.shape.s), ("dim", 0)], "csv"), *parts])
 
 
 def _cmd_regularity(args) -> int:

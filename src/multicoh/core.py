@@ -16,9 +16,10 @@ of three states: sections (a_i >= 0), top (a_i <= -n_i-1) or dead.  One
 dead factor kills every Kunneth term, and otherwise exactly one term
 survives, so O(a) has cohomology in the single degree sum(n_i over the
 top factors) or in none.  Every box and ray query joins these per-axis
-states, in one of two ways.  _box_rows joins them over a box of twists d
-into a dense table per degree and lists each nonzero H^t(E(d)) off it;
-cohomology tables and the 0-regularity witnesses read it.  _diagonal_runs
+states, in one of two ways.  _box_tables joins them over a box of twists d
+into a dense table per degree.  _box_rows lists each nonzero H^t(E(d)) off
+those tables for cohomology tables and the 0-regularity witnesses, and the
+json and csv of `cohomology --box` are rendered from them.  _diagonal_runs
 joins them over a box of twists j, at most n_k+1 wide on axis k, along the
 diagonal ray j + tau*(1,...,1), one phase of tau at a time, and lists runs:
 a j with the one interval of tau where a summand has H^i != 0, for the
@@ -414,17 +415,35 @@ class CohomologyTable:
 
 
 def cohomology_table(E: LineBundleSum, bound: int) -> CohomologyTable:
-    """Tabulate every nonzero H^t(E(d)) for d in the box [-bound, bound]^s (see _box_rows,
+    """Tabulate every nonzero H^t(E(d)) for d in the box [-bound, bound]^s (see _box_tables,
     which refuses the boxes past its guards)."""
+    return CohomologyTable(E.shape, tuple(_box_rows(E, _box_ranges(E, bound))))
+
+
+def _box_ranges(E: LineBundleSum, bound: int) -> list[range]:
+    """[-bound, bound] on every axis of E's shape; a negative bound is refused with E_RANGE."""
     if bound < 0:
         raise InputError("E_RANGE", f"box bound must be >= 0, got {bound}")
-    return CohomologyTable(E.shape, tuple(_box_rows(E, [range(-bound, bound + 1)] * E.shape.s)))
+    return [range(-bound, bound + 1)] * E.shape.s
 
 
 def _box_rows(E: LineBundleSum, ranges) -> list[tuple[int, Degree, int]]:
-    """Every (t, d, dim H^t(E(d))) with a nonzero dim, d in the product of the ranges (one
-    per axis, twists of d in all), sorted by (t, d).  More than BOX_GUARD twists, or
-    TABLE_GUARD (twist, summand) pairs, are refused with E_GUARD before any join.
+    """Every (t, d, dim H^t(E(d))) with a nonzero dim, d in the product of the ranges, sorted
+    by (t, d): the nonzero slots of each _box_tables table, whose twists product(*ranges)
+    yields in slot order, and compress and filter(None, arr) keep that order."""
+    rows = []
+    for t, arr in _box_tables(E, ranges):
+        rows += zip(repeat(t), compress(product(*ranges), arr), filter(None, arr))
+        del arr  # one table at a time: up to BOX_GUARD slots
+    return rows
+
+
+def _box_tables(E: LineBundleSum, ranges):
+    """(t, arr) for each degree t where E has cohomology on the box, t ascending: arr holds
+    dim H^t(E(d)) for every d in the product of the ranges (one per axis, twists of d in all),
+    in lexicographic order of d.  More than BOX_GUARD twists, or TABLE_GUARD (twist, summand)
+    pairs, are refused with E_GUARD when called, before any join; the tables are then filled
+    one at a time, as they are iterated.
 
     On each axis a summand O(a) has live cells (x, q, c): q = 0 and c = C(a_i+x+n_i, n_i) in
     sections, q = n_i and c = C(-a_i-x-1, n_i) at the top, none on the dead band; O(a+d) has
@@ -433,10 +452,8 @@ def _box_rows(E: LineBundleSum, ranges) -> list[tuple[int, Degree, int]]:
     offset is the position in the lexicographic box of the first twist with those coordinates.
     On the last axis the top cells (x < -a-n) and the sections cells (x >= -a) are two runs of
     adjacent positions, each added times scale into one slice of degree t + q's dense table.
-    The tables are filled one at a time, t ascending.  Sorted: product(*ranges) yields the
-    twists in position order and compress keeps it.  Exact: a slot sums products of
-    multiplicities and live binomials, all >= 1, so it is nonzero exactly where a cell landed,
-    and filter(None, arr) keeps those dims in the order compress keeps their twists.
+    Exact: a slot sums products of multiplicities and live binomials, all >= 1, so it is
+    nonzero exactly where a cell landed, and every table has a nonzero slot.
     """
     dims = E.shape.dims
     sides = [xs.stop - xs.start for xs in ranges]  # len() of a range fails past sys.maxsize
@@ -462,14 +479,15 @@ def _box_rows(E: LineBundleSum, ranges) -> list[tuple[int, Degree, int]]:
         for t, offset, scale in partial:
             for q, start, stop, cells in runs:
                 fills.setdefault(t + q, []).append((offset + start, offset + stop, cells, scale))
-    rows = []
-    for t in sorted(fills):
-        arr = [0] * twists
-        for start, stop, cells, scale in fills.pop(t):
-            arr[start:stop] = map(add, arr[start:stop], map(mul, cells, repeat(scale)))
-        rows += zip(repeat(t), compress(product(*ranges), arr), filter(None, arr))
-        del arr  # one table at a time: up to BOX_GUARD slots
-    return rows
+    return ((t, _fill_table(twists, fills.pop(t))) for t in sorted(fills))
+
+
+def _fill_table(twists: int, fills) -> list[int]:
+    """A table of twists zeros with each (start, stop, cells, scale) of fills added in."""
+    arr = [0] * twists
+    for start, stop, cells, scale in fills:
+        arr[start:stop] = map(add, arr[start:stop], map(mul, cells, repeat(scale)))
+    return arr
 
 
 def bundle_to_doc(E: LineBundleSum) -> dict:

@@ -18,10 +18,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multicoh import AuditReport, InputError, LineBundleSum, bundle_to_json, cli
+from multicoh import (AuditReport, InputError, LineBundleSum, Shape, bundle_from_json,
+                      bundle_to_json, cli, cohomology_table)
 from multicoh.cli import build_parser, emit_table, main
 
-from support import emit_table_oracle, forbid_diagonal_join
+from support import bundles_st, emit_table_oracle, forbid_diagonal_join
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -550,6 +551,21 @@ def test_result_past_the_digit_limit_is_refused(capsys, option):
     assert len(err.splitlines()) == 1 and err.startswith("E_GUARD: a result has more than 4300")
 
 
+# O(0,0) has only t = 0 rows on the box; O(-N,0), N of 4000 digits, has h^2 of about 8000 digits
+LATER_DEGREE = '{"shape":[2,2],"summands":[{"degree":[0,0]},{"degree":[-%s,0]}]}' % ("9" * 4000)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_result_past_the_digit_limit_in_a_later_degree_is_refused(capsys, fmt):
+    # the t = 0 table renders first: nothing may be printed before every table has rendered
+    rows = cohomology_table(bundle_from_json(LATER_DEGREE), 1).rows
+    assert rows[0] == (0, (0, 0), 1) and rows[-1][0] == 2
+    code, out, err = run(capsys, "cohomology", "--bundle", LATER_DEGREE, "--box", "1",
+                         "--format", fmt)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("E_GUARD: a result has more than 4300")
+
+
 def test_box_guard_exit(capsys):
     code, out, err = run(capsys, "cohomology", "--bundle", O22, "--box", "500")
     assert code == 2 and out == ""
@@ -843,6 +859,24 @@ def test_table_rows_reach_emit_table_strictly_ascending(case):
         assert all(a < b for a, b in zip(rows, rows[1:])), argv
     docs = json.loads(_stdout(table))
     assert [(doc["t"], *doc["twist"], doc["dim"]) for doc in docs] == _csv_rows(table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bundles_st(max_mult=3), st.integers(0, 3), st.booleans(), st.data())
+def test_box_json_and_csv_print_the_rows(E, bound, dead, data):
+    # json and csv are rendered from the box join's tables, not from cohomology_table's rows;
+    # dead makes one axis P^(2B+1) with every summand at -B-1 there, dead on the whole box
+    if dead:
+        k = data.draw(st.integers(0, E.shape.s - 1), label="dead axis")
+        dims = E.shape.dims[:k] + (2 * bound + 1,) + E.shape.dims[k + 1:]
+        E = LineBundleSum(Shape(dims), tuple((a[:k] + (-bound - 1,) + a[k + 1:], m)
+                                             for a, m in E.summands))
+    rows = cohomology_table(E, bound).rows
+    assert not dead or rows == ()
+    columns = [("t", 0), ("twist", E.shape.s), ("dim", 0)]
+    for fmt in ("json", "csv"):
+        argv = ["cohomology", "--bundle", bundle_to_json(E), "--box", str(bound), "--format", fmt]
+        assert _stdout(argv) == emit_table_oracle(rows, columns, fmt) + "\n"
 
 
 # -------------------------------------------------------------------- fuzzing
