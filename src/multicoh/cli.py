@@ -258,10 +258,11 @@ def _cmd_check(args) -> int:
 def _cmd_audit(args) -> int:
     shape = Shape(_int_vector(args.shape, "--shape"))
     r = _int_vector(args.r, "--r") if args.r else None
-    report = criteria.desk_scale_audit(shape, args.bound, args.max_rank, args.criterion, r=r)
-    counts = ("total", "both", "hyp_only", "concl_only", "neither")
-    # A row is the template of its (hypothesis, conclusion) pair, which holds the bundle head,
-    # filled with its summand texts, each encoded once: str(E) in a table, else bundle_to_json(E).
+    counts, rows = criteria._audit_rows(shape, args.bound, args.max_rank, args.criterion, r)
+    names = ("total", "both", "hyp_only", "concl_only", "neither")
+    # A row is the template of its mask (hypothesis + 2 * conclusion), which holds the bundle
+    # head, filled with its summand texts, each encoded once: str(E) in a table, else
+    # bundle_to_json(E); for int cells "%d" and ",".join(map(str, ...)) give json.dumps's bytes.
     fmt, quote = args.format, '""' if args.format == "csv" else '"'
     if fmt == "table":
         sep, head, item = " + ", "%s", "  mismatch %s hypothesis=%s conclusion=%s"
@@ -269,21 +270,20 @@ def _cmd_audit(args) -> int:
     else:
         sep, head = ",", '{"shape":%s,"summands":[%%s]}' % _dump(list(shape.dims))
         item = '{"bundle":%s,"hypothesis":%s,"conclusion":%s}' if fmt == "json" else '"%s",%s,%s'
-        encode = lambda pair: _dump({"degree": list(pair[0]), "mult": pair[1]}).replace('"', quote)
-    show = _dump if fmt == "json" else str
-    template = {(h, c): item % (head.replace('"', quote), show(h), show(c))
-                for h in (False, True) for c in (False, True)}
-    texts = _SummandTexts(encode)
-    rows = [template[hyp, concl] % sep.join(map(texts.__getitem__, E.summands))
-            for E, hyp, concl in report.mismatches]
+        summand = '{"degree":[%s],"mult":%d}'.replace('"', quote)
+        encode = lambda pair: summand % (",".join(map(str, pair[0])), pair[1])
+    show = ("false", "true") if fmt == "json" else ("False", "True")
+    template = [item % (head.replace('"', quote), show[m & 1], show[m >> 1]) for m in range(4)]
+    texts = _SummandTexts(encode).__getitem__
+    lines = [template[m] % sep.join(map(texts, s)) for s, m in rows]
     if fmt == "json":
-        doc = ",".join('"%s":%d' % (name, getattr(report, name)) for name in counts)
-        print('{%s,"mismatches":[%s]}' % (doc, ",".join(rows)))
+        doc = ",".join('"%s":%d' % pair for pair in zip(names, counts))
+        print('{%s,"mismatches":[%s]}' % (doc, ",".join(lines)))
     else:
-        lines = ([f"{name}: {getattr(report, name)}" for name in counts] if fmt == "table"
-                 else ["bundle,hypothesis,conclusion"])
-        print("\n".join(lines + rows))
-    return 1 if (args.strict and report.mismatches) else 0
+        top = ([f"{name}: {count}" for name, count in zip(names, counts)] if fmt == "table"
+               else ["bundle,hypothesis,conclusion"])
+        print("\n".join(top + lines))
+    return 1 if (args.strict and rows) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

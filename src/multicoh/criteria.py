@@ -29,9 +29,10 @@ runs of core._diagonal_runs, a join that applies its own guards, give each
 (i, j) with H^i != 0 with its interval of diagonal twists; each is
 filtered, and its rows counted, as the join yields it (see _box_hits).
 
-desk_scale_audit cross-tabulates hypothesis against conclusion over every
-canonical bundle in a degree box up to a rank cap, with one check per diagonal
-class, and lists the mismatches by a pruned walk over sorted degree prefixes.
+An audit cross-tabulates hypothesis against conclusion over every canonical bundle
+in a degree box up to a rank cap, deciding each diagonal class at its first kept run,
+and lists the mismatches by a pruned walk over sorted degree prefixes (_audit_rows),
+whose rows desk_scale_audit turns into bundles and the CLI renders as they are.
 """
 
 from bisect import bisect_left
@@ -172,14 +173,17 @@ def _box_hits(E: LineBundleSum, lows, keep) -> list[tuple[int, Degree, int, int]
     return sorted(key + (dim,) for key, dim in hits.items())
 
 
-def _criterion_violations(E: LineBundleSum, caps: tuple[int, ...]) -> ViolationReport:
+def _no_kept_run(E: LineBundleSum, lows, keep) -> bool:
+    """Whether _box_hits(E, lows, keep) has no row, by the first kept run: a kept run has
+    first <= last and dims >= 1.  The join's guards run; the listing guard does not."""
+    return not any(keep(run[0], run[1]) for run in _diagonal_runs(E, lows))
+
+
+def _criterion_box(E: LineBundleSum, caps: tuple[int, ...]):
+    """(lows, keep) of thm12 and thm13: the box -n_k <= j_k <= 0, admissible, not exceptional."""
     dims = E.shape.dims
-
-    def keep(i: int, j: Degree) -> bool:
-        # admissible means max(1, -sum(j)) <= i < dim X; _box_hits offers 0 < i < dim X only
-        return -sum(j) <= i and not _is_exceptional(dims, caps, i, j)
-
-    return ViolationReport(E.shape, tuple(_box_hits(E, [-n for n in dims], keep)))
+    # admissible means max(1, -sum(j)) <= i < dim X; _box_hits offers 0 < i < dim X only
+    return [-n for n in dims], lambda i, j: -sum(j) <= i and not _is_exceptional(dims, caps, i, j)
 
 
 def _require_excess_shape(shape: Shape) -> None:
@@ -190,7 +194,7 @@ def _require_excess_shape(shape: Shape) -> None:
 def thm12_violations(E: LineBundleSum) -> ViolationReport:
     """Hypothesis check with every axis capped at excess 2; needs all n_k >= 2."""
     _require_excess_shape(E.shape)
-    return _criterion_violations(E, (2,) * E.shape.s)
+    return ViolationReport(E.shape, tuple(_box_hits(E, *_criterion_box(E, (2,) * E.shape.s))))
 
 
 def _check_caps(shape: Shape, r) -> tuple[int, ...]:
@@ -205,7 +209,8 @@ def _check_caps(shape: Shape, r) -> tuple[int, ...]:
 
 def thm13_violations(E: LineBundleSum, r) -> ViolationReport:
     """Hypothesis check with per-axis excess caps r, 0 <= r_k <= n_k."""
-    return _criterion_violations(E, _check_caps(E.shape, r))
+    caps = _check_caps(E.shape, r)
+    return ViolationReport(E.shape, tuple(_box_hits(E, *_criterion_box(E, caps))))
 
 
 def miyazaki_violations(E: LineBundleSum, r=None) -> ViolationReport:
@@ -324,10 +329,14 @@ def lemma14_check(E: LineBundleSum) -> Lemma14Report:
     the box of twists is the zero pattern alone, kept at degree n, and every
     witness has condition "b".
     """
+    witnesses = [("b",) + row for row in _box_hits(E, *_lemma14_box(E))]
+    return Lemma14Report(not witnesses, tuple(witnesses), (E.shape.total_dim + 1,))
+
+
+def _lemma14_box(E: LineBundleSum):
+    """(lows, keep) of condition (b): the zero pattern j = 0 alone, kept at degree n."""
     n = _require_power_shape(E.shape)
-    s = E.shape.s
-    witnesses = [("b",) + row for row in _box_hits(E, [0] * s, lambda t, g: t == n)]
-    return Lemma14Report(not witnesses, tuple(witnesses), (s * n + 1,))
+    return [0] * E.shape.s, lambda t, g: t == n
 
 
 @dataclass(frozen=True)
@@ -367,10 +376,11 @@ def _lemma14_domain(shape: Shape, r) -> None:
     _require_power_shape(shape)
 
 
-# criterion -> (domain and caps check returning the caps, hypothesis, conclusion).  The
-# lambdas look the checks up at call time, so wrappers installed on the module see each one.
+# criterion -> (domain and caps check returning the caps, hypothesis, conclusion).  Each
+# hypothesis is thm12_violations(E).empty, thm13_violations(E, r).empty or
+# lemma14_check(E).conditions_hold, from the same (lows, keep) by _no_kept_run.
 # Every criterion registered here must give the same (hypothesis, conclusion) on O(a) and on
-# O(a + l*(1,...,1)) for every integer l, since desk_scale_audit checks one degree per
+# O(a + l*(1,...,1)) for every integer l, since the audit checks one degree per
 # diagonal class.  These three do: H^i(O(a + l*1)(j + tau*1)) = H^i(O(a)(j + (tau+l)*1)),
 # the hypotheses quantify over every tau, and the exceptional set depends on (i, j, caps)
 # alone, so a shift only relabels tau (for lemma14's condition (b), t = tau).  The forms
@@ -378,24 +388,18 @@ def _lemma14_domain(shape: Shape, r) -> None:
 # the gaps a_i - a_k.
 _CRITERIA = {
     "thm12": (_thm12_domain,
-              lambda E, r: thm12_violations(E).empty,
+              lambda E, r: _no_kept_run(E, *_criterion_box(E, (2,) * E.shape.s)),
               lambda E, r: thm12_conclusion_match(E).matched),
     "thm13": (_check_caps,
-              lambda E, r: thm13_violations(E, r).empty,
+              lambda E, r: _no_kept_run(E, *_criterion_box(E, r)),
               lambda E, r: thm13_conclusion_match(E, r).matched),
     "lemma14": (_lemma14_domain,
-                lambda E, r: lemma14_check(E).conditions_hold,
+                lambda E, r: _no_kept_run(E, *_lemma14_box(E)),
                 lambda E, r: lemma14_conclusion_match(E)[0]),
 }
 
 
-def desk_scale_audit(
-    shape,
-    bound: int,
-    max_rank: int,
-    criterion: str,
-    r=None,
-) -> AuditReport:
+def desk_scale_audit(shape, bound: int, max_rank: int, criterion: str, r=None) -> AuditReport:
     """Cross-tabulate a criterion over every canonical bundle in a box.
 
     Covers all canonical LineBundleSums with summand degrees in [-bound, bound]^s
@@ -405,7 +409,17 @@ def desk_scale_audit(
     evaluated once, on O(a) for its first degree a (see _CRITERIA), and the counts
     are multiset binomials over the four (hypothesis, conclusion) classes.  Refuses
     boxes beyond 10^7 candidates or 10^4 degrees (not classes) before evaluating
-    any degree, and more than 10^5 mismatches before building any of them.
+    any degree, and more than 10^5 mismatches before building any of them (_audit_rows).
+    """
+    shape = _as_shape(shape)
+    counts, rows = _audit_rows(shape, bound, max_rank, criterion, r)
+    return AuditReport(*counts, tuple((_canonical(shape, s), m == 1, m == 2) for s, m in rows))
+
+
+def _audit_rows(shape: Shape, bound: int, max_rank: int, criterion: str, r):
+    """((total, both, hyp_only, concl_only, neither), rows) of desk_scale_audit, with its
+    checks and refusals in its order; rows lists each mismatch as (summands, mask) in report
+    order, summands canonical and mask 1 (the hypothesis alone holds) or 2 (the conclusion).
 
     The listing walks prefixes P: non-decreasing index tuples into the N live
     degrees (where a side holds) in product order, each with its mask (the AND of
@@ -422,7 +436,6 @@ def desk_scale_audit(
     and one tuple copy (appending the shared (a, 1) or adding one to the last
     multiplicity): O(rows * (rank + log N)), not O(candidates).
     """
-    shape = _as_shape(shape)
     if bound < 0 or max_rank < 1:
         raise InputError("E_RANGE", "need bound >= 0 and max_rank >= 1")
     if criterion not in _CRITERIA:
@@ -456,7 +469,7 @@ def desk_scale_audit(
     concl_only = multisets(sum(c for _, c in flags.values())) - both
     listed = _refuse_past(hyp_only + concl_only, LISTING_GUARD, "mismatch rows", "listing guard",
                           AuditGuardError)
-    mismatches = []
+    rows = []
     if listed:  # the walk of the docstring; pairs[i] is shared by every mismatch holding i once
         pairs, bits = zip(*[((a, 1), h + 2 * c) for a, (h, c) in flags.items() if h or c])
         after = {m: [i for i, b in enumerate(bits) if b & m] for m in (1, 2)}
@@ -471,7 +484,7 @@ def desk_scale_audit(
                     (a, k), indices = summands[-1], indices[1:]
                     children.append((mask, last, summands[:-1] + ((a, k + 1),)))
                 children += [(mask & bits[i], i, summands + (pairs[i],)) for i in indices]
-            mismatches += [(_canonical(shape, s), m == 1, m == 2) for m, _, s in children if m != 3]
+            rows += [(s, m) for m, _, s in children if m != 3]
             level = children
     neither = candidates - both - hyp_only - concl_only
-    return AuditReport(candidates, both, hyp_only, concl_only, neither, tuple(mismatches))
+    return (candidates, both, hyp_only, concl_only, neither), rows

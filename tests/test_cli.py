@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multicoh import (AuditReport, InputError, LineBundleSum, Shape, bundle_from_json,
-                      bundle_to_json, cli, cohomology_table)
+                      bundle_to_json, cli, cohomology_table, criteria)
 from multicoh.cli import build_parser, emit_table, main
 
 from support import bundles_st, emit_table_oracle, forbid_diagonal_join
@@ -399,13 +399,9 @@ def audit_reports_st(draw):
     return AuditReport(*counts, mismatches=bundles)
 
 
-@settings(max_examples=200, deadline=None)
-@given(audit_reports_st())
-def test_audit_rendering_matches_to_json_and_bundle_to_json(report):
-    shape = next((E.shape for E, _, _ in report.mismatches), None)
-    argv = ["audit", "--shape", ",".join(map(str, shape.dims if shape else [2])),
-            "--criterion", "thm12", "--bound", "0", "--max-rank", "1"]
-    expected = {
+def audit_renderings(report):
+    """The oracle rendering of an AuditReport in each format: to_json, bundle_to_json, str(E)."""
+    return {
         "json": json.dumps(report.to_json(), separators=(",", ":")),
         "csv": "\n".join(["bundle,hypothesis,conclusion"] + [
             '"%s",%s,%s' % (bundle_to_json(E).replace('"', '""'), hyp, concl)
@@ -415,12 +411,41 @@ def test_audit_rendering_matches_to_json_and_bundle_to_json(report):
             f"  mismatch {E} hypothesis={hyp} conclusion={concl}"
             for E, hyp, concl in report.mismatches]),
     }
-    for fmt, text in expected.items():
+
+
+@settings(max_examples=200, deadline=None)
+@given(audit_reports_st())
+def test_audit_rendering_matches_to_json_and_bundle_to_json(report):
+    # the CLI renders the walk's (summands, mask) rows; fed this report's, it prints the report
+    shape = next((E.shape for E, _, _ in report.mismatches), None)
+    argv = ["audit", "--shape", ",".join(map(str, shape.dims if shape else [2])),
+            "--criterion", "thm12", "--bound", "0", "--max-rank", "1"]
+    counts = (report.total, report.both, report.hyp_only, report.concl_only, report.neither)
+    walk = (counts, [(E.summands, hyp + 2 * concl) for E, hyp, concl in report.mismatches])
+    for fmt, text in audit_renderings(report).items():
         out = io.StringIO()
-        with mock.patch.object(cli.criteria, "desk_scale_audit", lambda *a, **k: report), \
+        with mock.patch.object(cli.criteria, "_audit_rows", lambda *a, **k: walk), \
                 contextlib.redirect_stdout(out):
             assert main(argv + ["--format", fmt]) == 0
         assert out.getvalue() == text + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    PROBE, SQUARE, CAPPED,
+    ["audit", "--shape", "2,2,2", "--criterion", "thm12", "--bound", "1", "--max-rank", "2"],
+] + [["audit", "--shape", "2,3", "--criterion", "thm13", "--bound", "1", "--max-rank", "2",
+      "--r", f"{r1},{r2}"] for r1 in range(3) for r2 in range(4)])
+def test_audit_stdout_matches_desk_scale_audit(capsys, argv):
+    # both consumers of the listing walk: the CLI's rows against the library's report
+    options = dict(zip(argv[1::2], argv[2::2]))
+    r = tuple(map(int, options["--r"].split(","))) if "--r" in options else None
+    report = criteria.desk_scale_audit(tuple(map(int, options["--shape"].split(","))),
+                                       int(options["--bound"]), int(options["--max-rank"]),
+                                       options["--criterion"], r=r)
+    for fmt, text in audit_renderings(report).items():
+        assert run(capsys, *argv, "--format", fmt) == (0, text + "\n", "")
+        assert run(capsys, *argv, "--format", fmt, "--strict") == (
+            int(bool(report.mismatches)), text + "\n", "")
 
 
 @pytest.mark.parametrize("criterion, bundle", [

@@ -858,6 +858,51 @@ def test_criterion_sides_are_invariant_under_diagonal_shift(case, ell):
     assert criterion_sides(shifted, criterion, r) == criterion_sides(E, criterion, r)
 
 
+@st.composite
+def hypothesis_cases_st(draw):
+    """A criterion and a bundle of rank 1-3 on up to three factors of its domain, with
+    coordinates near each other or far apart."""
+    criterion = draw(st.sampled_from(["thm12", "thm13", "lemma14"]))
+    if criterion == "lemma14":
+        dims = (draw(st.integers(1, 3)),) * draw(st.integers(2, 3))
+    else:
+        low = 2 if criterion == "thm12" else 1
+        dims = tuple(draw(st.lists(st.integers(low, 3), min_size=1, max_size=3)))
+    coord = st.integers(-6, 6) | st.integers(-100, 100)
+    degrees = draw(st.lists(st.tuples(*[coord] * len(dims)), min_size=1, max_size=3))
+    return criterion, bundle(dims, *degrees)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypothesis_cases_st())
+def test_audit_hypothesis_scan_matches_the_public_check(case):
+    # the audit decides each class at its first kept run: the same verdict as the full check
+    import multicoh.criteria as criteria
+
+    criterion, E = case
+    hypothesis = criteria._CRITERIA[criterion][1]
+    if criterion == "thm12":
+        assert hypothesis(E, None) == thm12_violations(E).empty
+    elif criterion == "lemma14":
+        assert hypothesis(E, None) == lemma14_check(E).conditions_hold
+    else:
+        for r in itertools.product(*[range(n + 1) for n in E.shape.dims]):
+            assert hypothesis(E, r) == thm13_violations(E, r).empty
+
+
+def test_audit_hypothesis_scan_stops_at_the_first_kept_run(monkeypatch):
+    import multicoh.criteria as criteria
+
+    calls = []
+    real = criteria._is_exceptional
+    monkeypatch.setattr(criteria, "_is_exceptional", lambda *args: calls.append(1) or real(*args))
+    E = line_bundle((2, 2), (0, 8))  # a violating class with many kept runs
+    assert len(thm12_violations(E).rows) > 1
+    full, calls[:] = len(calls), []
+    assert criteria._CRITERIA["thm12"][1](E, None) is False
+    assert 1 <= len(calls) < full
+
+
 @pytest.mark.parametrize("criterion, shape, bound, r", [
     ("thm12", (2, 2, 2), 1, None), ("thm12", (2, 2), 3, None), ("thm13", (2, 3), 2, (1, 2)),
     ("lemma14", (1, 1, 1), 2, None), ("lemma14", (3,) * 4, 1, None),
