@@ -7,8 +7,9 @@ mismatch was found, 2 on invalid input (one-line CODE: message on
 stderr).
 
 `main` builds its parser once per process and parses each call's argv once:
-argv that starts with a command name goes straight to that command's parser.
-`build_parser()` returns a new parser on every call.
+argv that starts with a command name goes straight to that command's parser,
+which `_plain_args` reads from its actions unless argparse is needed (help, an
+error, an unusual spelling).  `build_parser()` returns a new parser on every call.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import json
 import os
 import re
 import sys
-from itertools import compress, product, starmap
+from itertools import chain, compress, product, starmap
 from operator import add
 from pathlib import Path
 
@@ -36,17 +37,50 @@ from .core import (
 )
 
 FILE_GUARD = 10_000_000  # bytes of a bundle file: about 1 s and 250 MB to parse
+_NEGATIVE = re.compile(r"^-\d+(?:,-?\d+)*$")  # twists like -3,-3 are option values, not names
 
 
 class _Parser(argparse.ArgumentParser):
-    # twist vectors like -3,-3 must parse as option values, not option names
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(?:,-?\d+)*$")
+        self._negative_number_matcher = _NEGATIVE
 
     def error(self, message):
         print(f"E_USAGE: {message}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _plain_args(p, argv):
+    """p.parse_args(argv) read from p's actions when argv is plain, else None for argparse.
+
+    Plain: p's positionals in order, then exact option strings of store and store_true actions,
+    each value one word of its action's type and choices, not starting with "-" unless a
+    negative vector.  argparse alone parses help, errors, abbreviations, --opt=value and --."""
+    ns = argparse.Namespace(**{a.dest: a.default for a in p._actions
+                               if argparse.SUPPRESS not in (a.dest, a.default)})
+    words, seen = iter(argv), set()
+    positionals = [a for a in p._actions if not a.option_strings]
+    try:  # each action takes its value words from words, before the next option string
+        for a in chain(positionals, map(p._option_string_actions.__getitem__, words)):
+            setattr(ns, a.dest, _plain_value(a, words))
+            seen.add(a)
+    except (KeyError, StopIteration, ValueError):
+        return None
+    return None if any(a.required and a not in seen for a in p._actions) else ns
+
+
+def _plain_value(a, words):
+    """The value argparse gives store or store_true action a from the next words, or ValueError."""
+    if type(a) is argparse._StoreTrueAction:
+        return True
+    word = next(words)
+    if (type(a) is not argparse._StoreAction or a.nargs is not None
+            or word.startswith("-") and not _NEGATIVE.fullmatch(word)):
+        raise ValueError(word)
+    value = word if a.type is None else a.type(word)
+    if a.choices is not None and value not in a.choices:
+        raise ValueError(word)
+    return value
 
 
 def _int_vector(text: str, what: str) -> tuple[int, ...]:
@@ -356,7 +390,8 @@ def main(argv=None) -> int:
         parser = _parser()
         argv = sys.argv[1:] if argv is None else list(argv)
         if argv and argv[0] in parser.command_parsers:  # the full parser only hands argv[1:] on
-            name, args = argv[0], parser.command_parsers[argv[0]].parse_args(argv[1:])
+            name, p = argv[0], parser.command_parsers[argv[0]]
+            args = _plain_args(p, argv[1:]) or p.parse_args(argv[1:])  # a Namespace is true
         else:  # help, no or an unknown command, or a leading --
             args = parser.parse_args(argv)
             name = args.command

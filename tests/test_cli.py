@@ -762,6 +762,17 @@ ONE_ARGV_PER_COMMAND = [
 ]
 
 
+# the same requests spelled so that main's plain reader leaves them to argparse
+FALLBACK_PER_COMMAND = [
+    ["cohomology", "--bundle", CANONICAL, "--t=4"],
+    ["regularity", "--bund", O22],
+    ["acm", "--bundle=" + O03],
+    ["koszul", "--shape", "2,2", "--fac", "1"],
+    ["check", "--bundle", O03, "thm12"],
+    ["audit", "--shape", "2,2", "--criterion", "thm12", "--bound", "1", "--max-rank=1"],
+]
+
+
 def test_each_command_parses_its_argv_once(capsys, monkeypatch):
     parsed_by = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
@@ -771,9 +782,11 @@ def test_each_command_parses_its_argv_once(capsys, monkeypatch):
         return parse_known_args(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    for argv in ONE_ARGV_PER_COMMAND:
+    for argv, fallback in zip(ONE_ARGV_PER_COMMAND, FALLBACK_PER_COMMAND):
         parsed_by.clear()
-        assert run(capsys, *argv)[0] == 0
+        plain = run(capsys, *argv)
+        assert plain[0] == 0 and parsed_by == []  # read by main's plain reader alone
+        assert run(capsys, *fallback) == plain
         assert parsed_by == [f"multicoh {argv[0]}"]
 
 
@@ -1153,11 +1166,26 @@ PARSE_EDGES = [
     ["cohomology", "--bundle", O22, "--t", "0", "--form=csv", "--=x"],
     ["--format", "csv", "acm", "--bundle", O22],
     ["acm", "--bundle", O22, "acm"],
+    # argv the plain reader in main accepts, declines, or must read exactly as argparse does
+    ["cohomology", "--bundle", O22, "--t", "0", "--twist", "-3,-3"],
+    ["cohomology", "--bundle", O22, "--t", "0", "--twist", "-3\n"],
+    ["cohomology", "--bundle", O22, "--t", " 3"],
+    ["cohomology", "--bundle", O22, "--t", "1_0"],
+    ["cohomology", "--bundle", O22, "--t", "9" * 4301],
+    ["cohomology", "--bundle", "", "--t", "0"],
+    ["cohomology", "--bundle", "-x", "--t", "0"],
+    ["cohomology", "--bundle", "--t", "0"],
+    ["cohomology", "--bundle", O22, "--t"],
+    ["cohomology", "--bundle", O22, "--t", "0", "--format", "csv", "--format", "table"],
+    ["check", "thm12", "--bundle", O03, "--strict", "--strict"],
+    ["check", "nope", "--bundle", O22],
+    ["check", "--bundle", O22, "thm12"],
 ]
 
 
 @pytest.mark.parametrize("argv", PARSE_EDGES,
-                         ids=[" ".join(a).replace(O22, "O22") for a in PARSE_EDGES])
+                         ids=[" ".join(a).replace(O22, "O22").replace(O03, "O03")
+                              .replace("9" * 4301, "9*4301") for a in PARSE_EDGES])
 def test_parse_edges_match_the_two_pass_parse(argv):
     assert outcome(main, argv) == outcome(two_pass, argv)
 
@@ -1167,3 +1195,29 @@ def test_parse_edges_match_the_two_pass_parse(argv):
 def test_fuzzed_invocations_match_the_two_pass_parse(bundle_files, argv):
     argv = [bundle_files.get(arg, arg) for arg in argv]
     assert outcome(main, argv) == outcome(two_pass, argv)
+
+
+def plain_read(argv):
+    """main's plain reading of argv, checked against argparse's wherever there is one."""
+    parsers = build_parser().command_parsers
+    if not argv or argv[0] not in parsers:
+        return None
+    plain = cli._plain_args(parsers[argv[0]], argv[1:])
+    if plain is not None:  # every dest argparse sets, defaults included, and no other
+        assert vars(plain) == vars(parsers[argv[0]].parse_args(argv[1:]))
+    return plain
+
+
+def test_plain_reader_gives_the_argparse_namespace():
+    read = [plain_read(argv) for argv in PARSE_EDGES + REUSE_CORPUS + ONE_ARGV_PER_COMMAND]
+    assert sum(ns is not None for ns in read) == 29
+    p = build_parser().command_parsers["cohomology"]
+    for argv in (["--help"], ["-h"], ["--bun", O22, "--t", "0"],
+                 ["--bundle", O22, "--t", "0", "--format=csv"]):
+        assert cli._plain_args(p, argv) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv_st())
+def test_fuzzed_plain_readings_match_argparse(argv):
+    plain_read(argv)
