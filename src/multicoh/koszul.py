@@ -21,9 +21,8 @@ computes both sides of each identification.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
-from math import comb, prod
+from math import prod
 from operator import mul
 
 from .core import (
@@ -31,6 +30,7 @@ from .core import (
     LineBundleSum,
     Shape,
     _as_shape,
+    _canonical,
     _check_vector,
     _refuse_past,
     binom_poly,
@@ -38,12 +38,36 @@ from .core import (
     factor_cohomology_dim,
 )
 
-KOSZUL_GUARD = 3_000  # terms of a factor complex: its work grows as n^3, about 0.6 s at n = 3000
+KOSZUL_GUARD = 3_000  # terms of a factor complex; build plus zero-twist check: 0.01 s at n = 3000
+
+
+def _fold(terms):
+    """sum_r (-1)^r terms[r] as (k, columns), along the axis k with fewest columns.
+
+    Only an axis along which the degrees differ can give fewer columns than
+    there are degrees, so only those are tried: axis 0 if there are none, and
+    one alone (as in a factor complex) is taken without a count.  Zero
+    coefficients are dropped; a column [rest, entries, roots] lists the
+    entries (a_k, c) whose degrees agree off axis k, keyed by those other
+    coordinates rest; roots holds the x = w_k + n_k at which the checks found
+    the column's sum zero, or None once it was nonzero.
+    """
+    signed: dict = {}
+    for r, term in enumerate(terms):
+        for degree, mult in term.summands:
+            signed[degree] = signed.get(degree, 0) + (-mult if r & 1 else mult)
+    signed = {a: c for a, c in signed.items() if c}
+    axes = [i for i, values in enumerate(zip(*signed)) if len(set(values)) > 1] or [0]
+    k = min(axes, key=lambda i: len({a[:i] + a[i + 1:] for a in signed})) if axes[1:] else axes[0]
+    columns: dict = {}
+    for a, c in signed.items():
+        columns.setdefault(a[:k] + a[k + 1:], []).append((a[k], c))
+    return k, [[rest, entries, set()] for rest, entries in columns.items()]
 
 
 @dataclass(frozen=True)
 class Complex:
-    """A finite complex of line bundle sums; index in terms is homological position."""
+    """A finite complex of line bundle sums, terms[r] at position r; _fold runs when it is made."""
 
     shape: Shape
     terms: tuple[LineBundleSum, ...]
@@ -56,33 +80,7 @@ class Complex:
                 raise InputError("E_SHAPE", f"complex term {kind} is not a line bundle sum")
             if term.shape != shape:
                 raise InputError("E_SHAPE", "complex terms must share the complex shape")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "terms", terms)
-
-    @cached_property
-    def _columns(self):
-        """sum_r (-1)^r terms[r] as (k, columns), along the axis k with fewest columns.
-
-        Only an axis along which the degrees differ can give fewer columns
-        than there are degrees, so only those axes are tried (axis 0 when
-        there are none).  Zero coefficients are dropped; a column
-        [rest, entries, roots] lists the entries (a_k, c) whose degrees
-        agree off axis k, keyed by those other coordinates rest; roots holds
-        the x = w_k + n_k at which the checks found the column's sum zero,
-        or None once it was nonzero.
-        The sum depends on x alone, so a check at an x in roots skips it.
-        """
-        signed: dict = {}
-        for r, term in enumerate(self.terms):
-            for degree, mult in term.summands:
-                signed[degree] = signed.get(degree, 0) + (-1) ** r * mult
-        signed = {a: c for a, c in signed.items() if c}
-        axes = [i for i, values in enumerate(zip(*signed)) if len(set(values)) > 1] or [0]
-        k = min(axes, key=lambda i: len({a[:i] + a[i + 1:] for a in signed}))
-        columns: dict = {}
-        for a, c in signed.items():
-            columns.setdefault(a[:k] + a[k + 1:], []).append((a[k], c))
-        return k, [[rest, entries, set()] for rest, entries in columns.items()]
+        self.__dict__.update(shape=shape, terms=terms, _columns=_fold(terms))
 
     def to_json(self) -> dict:
         return {
@@ -96,7 +94,8 @@ def koszul_factor_complex(shape, axis: int, d) -> Complex:
 
     Term r is O(d - r*e_axis) with multiplicity C(n+1, r), r = 0 .. n+1,
     where n is the dimension of the chosen factor.  More than KOSZUL_GUARD
-    terms are refused with E_GUARD before any term is built.
+    terms are refused with E_GUARD before any term is built.  Each term, one
+    summand made from the checked d, is canonical as built and not checked again.
     """
     shape = _as_shape(shape)
     if not isinstance(axis, int) or isinstance(axis, bool):
@@ -106,22 +105,24 @@ def koszul_factor_complex(shape, axis: int, d) -> Complex:
     d = _check_vector(shape, d, "degree")
     n = shape.dims[axis]
     _refuse_past(n + 2, KOSZUL_GUARD, "terms", "koszul guard")
-    terms = []
+    head, a, tail = d[:axis], d[axis], d[axis + 1:]
+    terms, mult = [], 1
     for r in range(n + 2):
-        degree = tuple(a - r if i == axis else a for i, a in enumerate(d))
-        terms.append(LineBundleSum(shape, ((degree, comb(n + 1, r)),)))
-    return Complex(shape, tuple(terms))
+        terms.append(_canonical(shape, ((head + (a - r,) + tail, mult),)))
+        mult = mult * (n + 1 - r) // (r + 1)  # C(n+1, r+1), an exact division
+    C = object.__new__(Complex)
+    C.__dict__.update(shape=shape, terms=tuple(terms), _columns=_fold(terms))
+    return C
 
 
 def euler_exactness_check(C: Complex, extra_twist=None) -> bool:
     """Whether the alternating sum of chi(term(extra_twist)) vanishes.
 
-    Each column is summed along its axis (for a factor complex, a finite
-    difference); only a nonzero sum is multiplied by the other axes' values.
-    A column already zero at this w_k is skipped, and one whose sum has been
-    zero at n_k+1 distinct w_k is dropped from C.  A tuple of plain ints is
-    taken as the twist as it is; any other twist goes through _check_vector.
+    The columns of C, folded when it was made, are summed, skipped and dropped
+    as the module docstring says; with none left, only the twist is validated:
+    a tuple of plain ints is taken as it is, any other goes through _check_vector.
     """
+    k, columns = C._columns
     dims = C.shape.dims
     d = (0,) * len(dims) if extra_twist is None else extra_twist
     if type(d) is tuple and len(d) == len(dims):
@@ -131,7 +132,6 @@ def euler_exactness_check(C: Complex, extra_twist=None) -> bool:
                 break
     else:
         d = _check_vector(C.shape, d, "twist")
-    k, columns = C._columns
     if not columns:
         return True
     n = dims[k]

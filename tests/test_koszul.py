@@ -1,7 +1,9 @@
 """Factor Koszul complexes and their Euler-level exactness certificates."""
 
 import itertools
+import json
 import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,6 +321,52 @@ def test_twist_validation_matches_check_vector(twist):
         else:
             fresh = Complex(C.shape, C.terms)
             assert euler_exactness_check(C, twist) == euler_exactness_check(fresh, tuple(v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes_st, st.data())
+def test_factor_complex_matches_its_checked_build(dims, data):
+    """The factor complex built without checks equals the one built through every check."""
+    d = data.draw(st.tuples(*[st.integers(-50, 50)] * len(dims)), label="d")
+    spell = data.draw(st.sampled_from([tuple, list, lambda v: tuple(map(_Int, v))]), label="spell")
+    for axis in range(len(dims)):
+        n = dims[axis]
+        trusted = koszul_factor_complex(dims, axis, spell(d))
+        checked = Complex(Shape(dims), tuple(
+            LineBundleSum(Shape(dims), ((tuple(a - r if i == axis else a for i, a in enumerate(d)),
+                                         comb(n + 1, r)),))
+            for r in range(n + 2)))
+        assert trusted._columns == checked._columns
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked)
+        assert json.dumps(trusted.to_json()) == json.dumps(checked.to_json())
+        for T, U in zip(trusted.terms, checked.terms, strict=True):
+            assert T == U and hash(T) == hash(U) and T.summands == U.summands
+
+
+@pytest.mark.parametrize("d", [(0, True), (0, 1.0), (0, "1"), (0,), (0, 0, 0), [0, None]])
+def test_bad_start_degree_is_refused_as_check_vector_refuses_it(d):
+    with pytest.raises(InputError) as want:
+        _check_vector(Shape((2, 2)), d, "degree")
+    for axis in range(2):
+        with pytest.raises(InputError) as got:
+            koszul_factor_complex((2, 2), axis, d)
+        assert got.value.code == "E_SHAPE"
+        assert (got.value.code, str(got.value)) == (want.value.code, str(want.value))
+
+
+def test_columns_are_folded_once_per_complex(monkeypatch):
+    calls = []
+    fold = koszul._fold
+    monkeypatch.setattr(koszul, "_fold", lambda terms: calls.append(len(terms)) or fold(terms))
+    C = koszul_factor_complex((2, 1), 0, (0, 0))
+    D = Complex(C.shape, C.terms)
+    E = Complex(Shape((1,)), (line_bundle([1], (0,)),))
+    assert calls == [4, 4, 1]
+    for w in itertools.product(range(-4, 5), repeat=2):
+        assert euler_exactness_check(C, w) and euler_exactness_check(D, w)
+        euler_exactness_check(E, w[:1])
+    assert calls == [4, 4, 1]
 
 
 def test_koszul_guard_boundary():
