@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: cohomology, regularity, acm, koszul, check, audit.  Output
-is deterministic: the same invocation always produces identical bytes.
+is deterministic: within one Python version, the same invocation always
+produces identical bytes.
 Exit codes: 0 on success, 1 when --strict is set and a violation or
 mismatch was found, 2 on invalid input (one-line CODE: message on
 stderr).
@@ -31,7 +32,6 @@ from .core import (
     _box_tables,
     _refuse_past,
     bundle_from_json,
-    cohomology_table,
     sum_cohomology_dim,
     twist,
 )
@@ -143,10 +143,14 @@ def emit_table(rows, columns: list[tuple[str, int]], fmt: str) -> str:
     line = ",".join(fields)
     headers = [f"{name}_{k + 1}" if width else name
                for name, width in columns for k in range(width or 1)]
-    if fmt == "csv":
-        return "\n".join([",".join(headers), *starmap(line.format, rows)])
-    fields = line.split(",")
-    lines = [headers] + [[field.format(*row) for field in fields] for row in rows]
+    csv = "\n".join([",".join(headers), *starmap(line.format, rows)])
+    return csv if fmt == "csv" else _align(csv)
+
+
+def _align(csv: str) -> str:
+    """The table format of csv: its cells right-aligned in columns two spaces apart.  It splits
+    the cells at every comma, so it relies on no cell holding a comma."""
+    lines = [line.split(",") for line in csv.split("\n")]
     sizes = [max(map(len, column)) for column in zip(*lines)]
     return "\n".join(["  ".join(text.rjust(w) for text, w in zip(cells, sizes)) for cells in lines])
 
@@ -163,20 +167,16 @@ def _cmd_cohomology(args) -> int:
         raise InputError("E_USAGE", "--twist and --box cannot be combined")
     if args.t is not None:
         d = _int_vector(args.twist, "--twist") if args.twist else (0,) * s
-        rows = [(args.t, d, sum_cohomology_dim(E, d, args.t))]
-    elif args.format != "table":
+        print(emit_table([(args.t, d, sum_cohomology_dim(E, d, args.t))], columns, args.format))
+    else:
         print(_box_text(E, args.box, args.format))
-        return 0
-    else:  # aligned output needs every column's width before its first row: keep the rows
-        rows = cohomology_table(E, args.box).rows
-    print(emit_table(rows, columns, args.format))
     return 0
 
 
 def _box_text(E: LineBundleSum, bound: int, fmt: str) -> str:
-    """emit_table's json or csv of cohomology_table(E, bound).rows, made from the box join's
-    tables: each table's nonzero slots pick their twists' texts, each made once, in row order.
-    Every table has a nonzero slot, so each makes at least one row."""
+    """emit_table's json, csv or table of cohomology_table(E, bound).rows, made from the box
+    join's tables: each table's nonzero slots pick their twists' texts, each made once, in row
+    order, and table aligns the csv.  Every table has a nonzero slot, so each makes a row."""
     ranges = _box_ranges(E, bound)
     tables = _box_tables(E, ranges)  # refuses past the guards before any text is built
     if fmt == "json":
@@ -191,7 +191,8 @@ def _box_text(E: LineBundleSum, bound: int, fmt: str) -> str:
         del arr  # one table at a time, as in _box_rows
     if fmt == "json":
         return "[%s]" % ",".join(parts)
-    return "\n".join([emit_table((), [("t", 0), ("twist", E.shape.s), ("dim", 0)], "csv"), *parts])
+    csv = "\n".join([emit_table((), [("t", 0), ("twist", E.shape.s), ("dim", 0)], "csv"), *parts])
+    return csv if fmt == "csv" else _align(csv)
 
 
 def _cmd_regularity(args) -> int:

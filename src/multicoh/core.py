@@ -18,8 +18,8 @@ survives, so O(a) has cohomology in the single degree sum(n_i over the
 top factors) or in none.  Every box and ray query joins these per-axis
 states, in one of two ways.  _box_tables joins them over a box of twists d
 into a dense table per degree.  _box_rows lists each nonzero H^t(E(d)) off
-those tables for cohomology tables and the 0-regularity witnesses, and the
-json and csv of `cohomology --box` are rendered from them.  _diagonal_runs
+those tables for cohomology tables and the 0-regularity witnesses, and every
+format of `cohomology --box` is rendered from them.  _diagonal_runs
 joins them over a box of twists j, at most n_k+1 wide on axis k, along the
 diagonal ray j + tau*(1,...,1), one phase of tau at a time, and lists runs:
 a j with the one interval of tau where a summand has H^i != 0, for the
@@ -445,47 +445,46 @@ def _box_tables(E: LineBundleSum, ranges):
     pairs, are refused with E_GUARD when called, before any join; the tables are then filled
     one at a time, as they are iterated.
 
-    On each axis a summand O(a) has live cells (x, q, c): q = 0 and c = C(a_i+x+n_i, n_i) in
-    sections, q = n_i and c = C(-a_i-x-1, n_i) at the top, none on the dead band; O(a+d) has
-    cohomology exactly when every d_i is live, in degree sum(q) and of dimension prod(c).  The
-    join of every axis but the last, dim starting at the multiplicity, gives (t, offset, scale):
-    offset is the position in the lexicographic box of the first twist with those coordinates.
-    On the last axis the top cells (x < -a-n) and the sections cells (x >= -a) are two runs of
-    adjacent positions, each added times scale into one slice of degree t + q's dense table.
-    Exact: a slot sums products of multiplicities and live binomials, all >= 1, so it is
-    nonzero exactly where a cell landed, and every table has a nonzero slot.
+    Every axis of a summand O(a) gets its live runs (q, first, cells) of adjacent x, first
+    their place on the axis, empty runs dropped: top, q = n_i and cells C(-a_i-x-1, n_i) for
+    x < -a_i-n_i, and sections, q = 0 and C(a_i+x+n_i, n_i) from x = -a_i on.  O(a+d) has
+    cohomology exactly where every d_i is in a run, in degree sum(q) and of dimension
+    prod(cells).  Joining the head axes' runs, dim starting at the multiplicity, gives (t,
+    offset, scale), offset the place in the box of the first twist with those coordinates;
+    each last-axis run adds times scale into one slice of degree t + q's dense table.  Exact:
+    a slot sums products of multiplicities and live binomials, all >= 1, so it is nonzero
+    exactly where a cell landed, and every table has a nonzero slot.
     """
     dims = E.shape.dims
     sides = [xs.stop - xs.start for xs in ranges]  # len() of a range fails past sys.maxsize
     twists = _refuse_past(_box_size(sides), BOX_GUARD, "twists", "box guard")
     _refuse_past(twists * len(E.summands), TABLE_GUARD, "(twist, summand) pairs", "table guard")
-    *heads, last = ranges
-    n, lo, hi = dims[-1], last.start, last.stop
-    fills: dict[int, list] = {}  # t -> (slice start, slice stop, last-axis cells, scale)
+    fills: dict[int, list] = {}  # t -> (slice start, last-axis cells, scale)
     for degree, mult in E.summands:
+        axes = []
+        for a, n, xs in zip(degree, dims, ranges):
+            lo, hi = xs.start, xs.stop
+            top, sec = min(hi, -a - n), max(lo, -a)  # top for x < top, sections from sec on
+            runs = [(n, 0, [comb(-a - x - 1, n) for x in range(lo, top)]),
+                    (0, sec - lo, [comb(a + x + n, n) for x in range(sec, hi)])]
+            axes.append([run for run in runs if run[2]])
         partial, stride = [(0, 0, mult)], twists
-        for a, m, xs in zip(degree, dims, heads):
-            stride //= len(xs)
-            cells = [(0, (x - xs.start) * stride, comb(a + x + m, m)) if a + x >= 0 else
-                     (m, (x - xs.start) * stride, comb(-a - x - 1, m))
-                     for x in xs if not -m <= a + x <= -1]
-            partial = [(t + q, offset + o, scale * c)
-                       for t, offset, scale in partial for q, o, c in cells]
-        a = degree[-1]
-        top, sec = min(hi, -a - n), max(lo, -a)  # the last axis: top for x < top, sections from sec
-        runs = [(n, 0, top - lo, [comb(-a - x - 1, n) for x in range(lo, top)])] if lo < top else []
-        if sec < hi:
-            runs.append((0, sec - lo, hi - lo, [comb(a + x + n, n) for x in range(sec, hi)]))
+        for runs, side in zip(axes[:-1], sides):
+            stride //= side
+            partial = [(t + q, offset + (first + i) * stride, scale * c)
+                       for t, offset, scale in partial
+                       for q, first, cells in runs for i, c in enumerate(cells)]
         for t, offset, scale in partial:
-            for q, start, stop, cells in runs:
-                fills.setdefault(t + q, []).append((offset + start, offset + stop, cells, scale))
+            for q, first, cells in axes[-1]:
+                fills.setdefault(t + q, []).append((offset + first, cells, scale))
     return ((t, _fill_table(twists, fills.pop(t))) for t in sorted(fills))
 
 
 def _fill_table(twists: int, fills) -> list[int]:
-    """A table of twists zeros with each (start, stop, cells, scale) of fills added in."""
+    """A table of twists zeros with each (start, cells, scale) of fills added in from start."""
     arr = [0] * twists
-    for start, stop, cells, scale in fills:
+    for start, cells, scale in fills:
+        stop = start + len(cells)
         arr[start:stop] = map(add, arr[start:stop], map(mul, cells, repeat(scale)))
     return arr
 

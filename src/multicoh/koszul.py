@@ -7,12 +7,13 @@ characteristic level: the alternating sum of chi over the terms of an
 exact complex is zero for every extra twist.
 
 chi is a product over the axes, so the check sums each column of the
-signed degree multiset along one axis (for a factor complex, its own axis:
-an (n+1)-th finite difference of a degree-n polynomial) before multiplying
-by the other axes' values.  A column sum depends on w_k alone, so a check
-skips a column already seen to vanish at that w_k.  The sum is a polynomial
-of degree at most n_k in w_k, so a column seen to vanish at n_k+1 distinct
-w_k is zero at every twist, and the complex drops it.
+signed degree multiset along one axis, the first where the degrees differ
+(for a factor complex, its own axis: an (n+1)-th finite difference of a
+degree-n polynomial), before multiplying by the other axes' values.  A
+column sum depends on w_k alone, so a check skips a column already seen to
+vanish at that w_k.  The sum is a polynomial of degree at most n_k in w_k:
+a column seen to vanish at n_k+1 distinct w_k is zero at every twist, and
+the complex drops it, while one seen nonzero never gets that far.
 
 The same resolutions identify each factor's one-dimensional corner
 cohomology H^{n_k} of O(-(n_k+1)*e_k) with the top cohomology of the
@@ -42,27 +43,25 @@ KOSZUL_GUARD = 3_000  # terms of a factor complex; build plus zero-twist check: 
 
 
 def _fold(terms):
-    """sum_r (-1)^r terms[r] as (k, columns), along the axis k with fewest columns.
+    """sum_r (-1)^r terms[r] as (k, columns), along the first axis k where the degrees differ.
 
-    Only an axis along which the degrees differ can give fewer columns than
-    there are degrees, so only those are tried: axis 0 if there are none, and
-    one alone (as in a factor complex) is taken without a count.  Zero
-    coefficients are dropped; a column [rest, entries, roots] lists the
+    Axis 0 is taken if they differ nowhere; exactness does not depend on the
+    axis, and a factor complex's degrees differ only on its own.  Zero
+    coefficients are dropped; a column (rest, entries, roots) lists the
     entries (a_k, c) whose degrees agree off axis k, keyed by those other
     coordinates rest; roots holds the x = w_k + n_k at which the checks found
-    the column's sum zero, or None once it was nonzero.
+    the column's sum zero.
     """
     signed: dict = {}
     for r, term in enumerate(terms):
         for degree, mult in term.summands:
             signed[degree] = signed.get(degree, 0) + (-mult if r & 1 else mult)
     signed = {a: c for a, c in signed.items() if c}
-    axes = [i for i, values in enumerate(zip(*signed)) if len(set(values)) > 1] or [0]
-    k = min(axes, key=lambda i: len({a[:i] + a[i + 1:] for a in signed})) if axes[1:] else axes[0]
+    k = next((i for i, values in enumerate(zip(*signed)) if len(set(values)) > 1), 0)
     columns: dict = {}
     for a, c in signed.items():
         columns.setdefault(a[:k] + a[k + 1:], []).append((a[k], c))
-    return k, [[rest, entries, set()] for rest, entries in columns.items()]
+    return k, [(rest, entries, set()) for rest, entries in columns.items()]
 
 
 @dataclass(frozen=True)
@@ -139,17 +138,16 @@ def euler_exactness_check(C: Complex, extra_twist=None) -> bool:
     total = 0
     for column in columns[:]:
         rest, entries, roots = column
-        if roots is not None and x in roots:
+        if x in roots:
             continue
         prod = 0
         for a, c in entries:
             prod += c * binom_poly(a + x, n)
         if prod:
-            column[2] = None
             for a, w, m in zip(rest, d[:k] + d[k + 1:], dims[:k] + dims[k + 1:]):
                 prod *= binom_poly(a + w + m, m)
             total += prod
-        elif roots is not None:
+        else:
             roots.add(x)
             if len(roots) > n:
                 columns.remove(column)

@@ -902,7 +902,7 @@ def test_table_rows_reach_emit_table_strictly_ascending(case):
 @settings(max_examples=80, deadline=None)
 @given(bundles_st(max_mult=3), st.integers(0, 3), st.booleans(), st.data())
 def test_box_json_and_csv_print_the_rows(E, bound, dead, data):
-    # json and csv are rendered from the box join's tables, not from cohomology_table's rows;
+    # every format is rendered from the box join's tables, not from cohomology_table's rows;
     # dead makes one axis P^(2B+1) with every summand at -B-1 there, dead on the whole box
     if dead:
         k = data.draw(st.integers(0, E.shape.s - 1), label="dead axis")
@@ -912,7 +912,7 @@ def test_box_json_and_csv_print_the_rows(E, bound, dead, data):
     rows = cohomology_table(E, bound).rows
     assert not dead or rows == ()
     columns = [("t", 0), ("twist", E.shape.s), ("dim", 0)]
-    for fmt in ("json", "csv"):
+    for fmt in ("json", "csv", "table"):
         argv = ["cohomology", "--bundle", bundle_to_json(E), "--box", str(bound), "--format", fmt]
         assert _stdout(argv) == emit_table_oracle(rows, columns, fmt) + "\n"
 

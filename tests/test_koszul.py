@@ -226,13 +226,17 @@ def test_factor_complex_is_one_column_along_its_axis():
 
 
 def test_column_is_kept_until_it_vanishes_at_n_plus_1_distinct_twists():
-    # chi(O(w)) on P^2 is (w+1)(w+2)/2: zero at w = -1 and -2 only
+    # chi(O(w)) on P^2 is (w+1)(w+2)/2: zero at w = -1 and -2 only, x = w + 2 = 1 and 0
     C = Complex(Shape((2,)), (line_bundle([2], (0,)),))
     assert euler_exactness_check(C, (-1,)) and euler_exactness_check(C, (-2,))
     assert euler_exactness_check(C, (-1,))
     assert not euler_exactness_check(C, (0,))
     assert not euler_exactness_check(C, (3,))
-    assert C._columns[1][0][2] is None
+    # a nonzero sum of degree 2 has at most two roots, so the column is never dropped
+    k, columns = C._columns
+    assert k == 0 and len(columns) == 1 and columns[0][2] == {0, 1}
+    assert not euler_exactness_check(C, (0,)) and not euler_exactness_check(C, (5,))
+    assert euler_exactness_check(C, (-2,)) and len(C._columns[1]) == 1
 
 
 @settings(max_examples=150, deadline=None)
