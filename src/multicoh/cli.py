@@ -83,6 +83,16 @@ def _plain_value(a, words):
     return value
 
 
+def _refuse_help_cluster(p, words: list) -> list:
+    """words, refused as argparse before 3.13 refuses them if their first help word is -hx."""
+    prev, first = next(((u, w) for u, w in zip([None, *words], words)
+                        if w == "--" or w.startswith(("-h", "--h"))), (None, ""))
+    cluster = re.fullmatch(r"-h+([^=h-].*)", first, re.S)  # and no option takes it as its value:
+    if cluster and getattr(p._option_string_actions.get(prev), "nargs", 0) is not None:
+        raise InputError("E_USAGE", "argument -h/--help: ignored explicit argument %r" % cluster[1])
+    return words
+
+
 def _int_vector(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -148,11 +158,13 @@ def emit_table(rows, columns: list[tuple[str, int]], fmt: str) -> str:
 
 
 def _align(csv: str) -> str:
-    """The table format of csv: its cells right-aligned in columns two spaces apart.  It splits
-    the cells at every comma, so it relies on no cell holding a comma."""
-    lines = [line.split(",") for line in csv.split("\n")]
-    sizes = [max(map(len, column)) for column in zip(*lines)]
-    return "\n".join(["  ".join(text.rjust(w) for text, w in zip(cells, sizes)) for cells in lines])
+    """The table format of csv: its cells right-aligned in columns two spaces apart, the widths
+    found in one pass and each line padded as it is joined.  No cell may hold a comma."""
+    lines = csv.split("\n")
+    sizes = [0] * (lines[0].count(",") + 1)
+    for line in lines:  # map stops at the shorter, as zip does
+        sizes = list(map(max, sizes, map(len, line.split(","))))
+    return "\n".join(["  ".join(map(str.rjust, line.split(","), sizes)) for line in lines])
 
 
 def _cmd_cohomology(args) -> int:
@@ -392,9 +404,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else list(argv)
         if argv and argv[0] in parser.command_parsers:  # the full parser only hands argv[1:] on
             name, p = argv[0], parser.command_parsers[argv[0]]
-            args = _plain_args(p, argv[1:]) or p.parse_args(argv[1:])  # a Namespace is true
+            args = _plain_args(p, argv[1:]) or p.parse_args(_refuse_help_cluster(p, argv[1:]))
         else:  # help, no or an unknown command, or a leading --
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_refuse_help_cluster(parser, argv))
             name = args.command
         code = _COMMANDS[name](args)
         sys.stdout.flush()

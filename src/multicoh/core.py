@@ -19,9 +19,9 @@ top factors) or in none.  Every box and ray query joins these per-axis
 states, in one of two ways.  _box_tables joins them over a box of twists d
 into a dense table per degree.  _box_rows lists each nonzero H^t(E(d)) off
 those tables for cohomology tables and the 0-regularity witnesses, and every
-format of `cohomology --box` is rendered from them.  _diagonal_runs
-joins them over a box of twists j, at most n_k+1 wide on axis k, along the
-diagonal ray j + tau*(1,...,1), one phase of tau at a time, and lists runs:
+format of `cohomology --box` is rendered from them.  _diagonal_runs joins them over
+a box of twists j, at most n_k+1 wide on axis k and planned once (_diagonal_plan),
+along the diagonal ray j + tau*(1,...,1), one phase of tau at a time, and lists runs:
 a j with the one interval of tau where a summand has H^i != 0, for the
 intermediate degrees 0 < i < dim X.  The criteria, the aCM test and the
 nonvanishing-twist intervals read it.  Each join refuses the inputs past
@@ -30,6 +30,7 @@ its own guards with E_GUARD before any work.  All arithmetic is exact
 """
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, product, repeat
@@ -343,15 +344,23 @@ def nonvanishing_twist_intervals(E: LineBundleSum, j, t: int) -> IntervalSet:
         parts = [(None, min(-a - n - 1 for a, n in zip(degree, shape.dims)))
                  for degree, _ in F.summands]
     else:
-        parts = [(first, last) for i, _, first, last, _, _ in _diagonal_runs(F, (0,) * shape.s)
-                 if i == t]
+        runs = _diagonal_runs(F.summands, _diagonal_plan(shape.dims, (0,) * shape.s))
+        parts = [(first, last) for i, _, first, last, _, _ in runs if i == t]
     return IntervalSet(tuple(parts))
 
 
-def _diagonal_runs(E: LineBundleSum, lows):
+def _diagonal_plan(dims, lows) -> tuple:
+    """(dims, lows, entries) of every diagonal join over the box lows_k <= j_k <= 0: entries =
+    sum_k k * box_k, the j entries of a phase, refused past JBOX_GUARD twists j before that."""
+    sides = [1 - lo for lo in lows]
+    _refuse_past(_box_size(sides), JBOX_GUARD, "twists j", "j-box guard")
+    return dims, lows, sum(k * box for k, box in enumerate(accumulate(sides, mul), 1))
+
+
+def _diagonal_runs(summands, plan):
     """Every run (i, j, first, last, degree, mult): the summand O(degree), of multiplicity
     mult, has H^i(O(degree + j + tau*(1,...,1))) != 0 exactly for first <= tau <= last,
-    over the box lows_k <= j_k <= 0 (lows_k >= -n_k) and the degrees 0 < i < dim X.
+    over the plan's box lows_k <= j_k <= 0 and the degrees 0 < i < dim X (_diagonal_plan).
 
     Per summand O(a), cell (k, x), factor k at j_k = x, is top for tau <= -a_k-x-n_k-1,
     dead up to -a_k-x-1 and in sections from -a_k-x on.  A top cell (x < -a_k-tau-n_k)
@@ -367,19 +376,17 @@ def _diagonal_runs(E: LineBundleSum, lows):
     tau >= -a_k-j_k on S: one interval, which the join of the axes' cells carries,
     dropping j once it is empty.  A summand has at most s phases, each yields a j at
     most once, and level k of a join holds at most box_k j's, the box of j_1..j_k, whatever
-    the gaps of a.  It refuses past JBOX_GUARD twists j, then past DIAGONAL_GUARD j entries.
+    the gaps of a.  It refuses past DIAGONAL_GUARD j entries, the plan's entries times phases.
     """
-    dims = E.shape.dims
-    _refuse_past(_box_size([1 - lo for lo in lows]), JBOX_GUARD, "twists j", "j-box guard")
-    summands = []
-    for degree, mult in E.summands:
+    dims, lows, entries = plan
+    phased = []
+    for degree, mult in summands:
         ends = [-a - lo - n for a, lo, n in zip(degree, lows, dims)]
         right = max(ends)  # the window ends where the last axis runs out of top cells
-        summands.append((degree, mult, ends, sorted({right, *(-a for a in degree if -a < right)})))
-    entries = sum(k * box for k, box in enumerate(accumulate([1 - lo for lo in lows], mul), 1))
-    phases = sum(len(cuts) - 1 for *_, cuts in summands)
+        phased.append((degree, mult, ends, sorted({right, *(-a for a in degree if -a < right)})))
+    phases = sum(len(cuts) - 1 for *_, cuts in phased)
     _refuse_past(entries * phases, DIAGONAL_GUARD, "j entries", "diagonal-join guard")
-    for degree, mult, ends, cuts in summands:
+    for degree, mult, ends, cuts in phased:
         for start, stop in zip(cuts, cuts[1:]):
             i, live = 0, [((), start, stop - 1)]  # j so far, first and last tau it is live at
             for a, lo, n, end in zip(degree, lows, dims, ends):
@@ -508,7 +515,9 @@ def bundle_from_json(source) -> LineBundleSum:
         try:
             source = json.loads(source)
         except (ValueError, RecursionError) as e:  # bad syntax, too many digits, too deep
-            raise InputError("E_JSON", f"malformed bundle JSON: {e}") from e
+            why = str(e) if "integer string" not in str(e) else (  # worded apart by 3.10, 3.11
+                f"an integer has more than {sys.get_int_max_str_digits()} digits")
+            raise InputError("E_JSON", f"malformed bundle JSON: {why}") from e
     if not isinstance(source, dict):
         raise InputError("E_JSON", "bundle JSON must be an object")
     unknown = set(source) - {"shape", "summands"}

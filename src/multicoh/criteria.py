@@ -24,15 +24,15 @@ only-if direction exact on any number of factors.
 The balanced-power criterion (lemma14) lives on (P^n)^s and bounds the
 pairwise gaps of every summand degree by n.
 
-A hypothesis is checked per summand over its whole box of twists j: the
-runs of core._diagonal_runs, a join that applies its own guards, give each
-(i, j) with H^i != 0 with its interval of diagonal twists; each is
+A hypothesis is checked per summand over its whole box of twists j: the runs of
+core._diagonal_runs, a join over a box planned once (core._diagonal_plan) within guards,
+give each (i, j) with H^i != 0 with its interval of diagonal twists; each is
 filtered, and its rows counted, as the join yields it (see _box_hits).
 
-An audit cross-tabulates hypothesis against conclusion over every canonical bundle
-in a degree box up to a rank cap, deciding each diagonal class at its first kept run,
-and lists the mismatches by a pruned walk over sorted degree prefixes (_audit_rows),
-whose rows desk_scale_audit turns into bundles and the CLI renders as they are.
+An audit cross-tabulates hypothesis against conclusion over every canonical bundle in a degree
+box up to a rank cap.  It makes each side once, a test of one degree (_CRITERIA), decides each
+diagonal class at its first kept run, and lists the mismatches by a pruned walk over sorted degree
+prefixes (_audit_rows), whose rows desk_scale_audit makes bundles and the CLI renders as they are.
 """
 
 from bisect import bisect_left
@@ -50,6 +50,7 @@ from .core import (
     _box_size,
     _canonical,
     _check_vector,
+    _diagonal_plan,
     _diagonal_runs,
     _line_cohomology,
     _refuse_past,
@@ -141,20 +142,20 @@ class ViolationReport:
         return [{"i": i, "j": list(j), "t": t, "dim": dim} for i, j, t, dim in self.rows]
 
 
-def _box_hits(E: LineBundleSum, lows, keep) -> list[tuple[int, Degree, int, int]]:
-    """Sorted rows (i, j, tau, dim), dim = dim H^i(E(j + tau*(1,...,1))) != 0, over the box
-    lows_k <= j_k <= 0 (lows_k >= -n_k) and the degrees 0 < i < dim X with keep(i, j), from
-    the runs of core._diagonal_runs; keep is called once per run.
+def _box_hits(E: LineBundleSum, plan, keep) -> list[tuple[int, Degree, int, int]]:
+    """Sorted rows (i, j, tau, dim), dim = dim H^i(E(j + tau*(1,...,1))) != 0, over the plan's
+    box lows_k <= j_k <= 0 (core._diagonal_plan) and the degrees 0 < i < dim X with keep(i, j),
+    from the runs of core._diagonal_runs; keep is called once per run.
 
-    The join applies its own guards (core.JBOX_GUARD, then core.DIAGONAL_GUARD) before it
-    yields a run, and stops with E_GUARD once the kept runs' lengths, summed as it yields
+    The plan has applied core.JBOX_GUARD, and the join applies core.DIAGONAL_GUARD before it
+    yields a run; it stops with E_GUARD once the kept runs' lengths, summed as it yields
     them, pass LISTING_GUARD rows.  The dimension at tau is mult times the per-axis
     binomials, computed at first and then stepped: x -> x+1 scales C(x+n_k, n_k) (sections)
     and C(-x-1, n_k) (top) alike by (x+n_k+1)/(x+1), one multiply and one exact divide per row.
     """
     dims = E.shape.dims
     rows, runs = 0, []
-    for run in _diagonal_runs(E, lows):
+    for run in _diagonal_runs(E.summands, plan):
         if keep(run[0], run[1]):
             rows = _refuse_past(rows + run[3] - run[2] + 1, LISTING_GUARD, "rows", "listing guard")
             runs.append(run)
@@ -173,17 +174,17 @@ def _box_hits(E: LineBundleSum, lows, keep) -> list[tuple[int, Degree, int, int]
     return sorted(key + (dim,) for key, dim in hits.items())
 
 
-def _no_kept_run(E: LineBundleSum, lows, keep) -> bool:
-    """Whether _box_hits(E, lows, keep) has no row, by the first kept run: a kept run has
-    first <= last and dims >= 1.  The join's guards run; the listing guard does not."""
-    return not any(keep(run[0], run[1]) for run in _diagonal_runs(E, lows))
+def _no_kept_run(plan, keep):
+    """The test of one degree a: whether _box_hits(O(a), plan, keep) has no row, by its first kept
+    run (first <= last, dims >= 1).  It runs the diagonal-join guard, not the listing guard."""
+    return lambda a: not any(keep(run[0], run[1]) for run in _diagonal_runs(((a, 1),), plan))
 
 
-def _criterion_box(E: LineBundleSum, caps: tuple[int, ...]):
-    """(lows, keep) of thm12 and thm13: the box -n_k <= j_k <= 0, admissible, not exceptional."""
-    dims = E.shape.dims
+def _criterion_box(dims, caps: tuple[int, ...]):
+    """(plan, keep) of thm12 and thm13: the box -n_k <= j_k <= 0, admissible, not exceptional."""
     # admissible means max(1, -sum(j)) <= i < dim X; _box_hits offers 0 < i < dim X only
-    return [-n for n in dims], lambda i, j: -sum(j) <= i and not _is_exceptional(dims, caps, i, j)
+    return (_diagonal_plan(dims, [-n for n in dims]),
+            lambda i, j: -sum(j) <= i and not _is_exceptional(dims, caps, i, j))
 
 
 def _require_excess_shape(shape: Shape) -> None:
@@ -193,8 +194,8 @@ def _require_excess_shape(shape: Shape) -> None:
 
 def thm12_violations(E: LineBundleSum) -> ViolationReport:
     """Hypothesis check with every axis capped at excess 2; needs all n_k >= 2."""
-    _require_excess_shape(E.shape)
-    return ViolationReport(E.shape, tuple(_box_hits(E, *_criterion_box(E, (2,) * E.shape.s))))
+    caps = _thm12_domain(E.shape, None)
+    return ViolationReport(E.shape, tuple(_box_hits(E, *_criterion_box(E.shape.dims, caps))))
 
 
 def _check_caps(shape: Shape, r) -> tuple[int, ...]:
@@ -210,7 +211,7 @@ def _check_caps(shape: Shape, r) -> tuple[int, ...]:
 def thm13_violations(E: LineBundleSum, r) -> ViolationReport:
     """Hypothesis check with per-axis excess caps r, 0 <= r_k <= n_k."""
     caps = _check_caps(E.shape, r)
-    return ViolationReport(E.shape, tuple(_box_hits(E, *_criterion_box(E, caps))))
+    return ViolationReport(E.shape, tuple(_box_hits(E, *_criterion_box(E.shape.dims, caps))))
 
 
 def miyazaki_violations(E: LineBundleSum, r=None) -> ViolationReport:
@@ -329,14 +330,14 @@ def lemma14_check(E: LineBundleSum) -> Lemma14Report:
     the box of twists is the zero pattern alone, kept at degree n, and every
     witness has condition "b".
     """
-    witnesses = [("b",) + row for row in _box_hits(E, *_lemma14_box(E))]
+    witnesses = [("b",) + row for row in _box_hits(E, *_lemma14_box(E.shape))]
     return Lemma14Report(not witnesses, tuple(witnesses), (E.shape.total_dim + 1,))
 
 
-def _lemma14_box(E: LineBundleSum):
-    """(lows, keep) of condition (b): the zero pattern j = 0 alone, kept at degree n."""
-    n = _require_power_shape(E.shape)
-    return [0] * E.shape.s, lambda t, g: t == n
+def _lemma14_box(shape: Shape):
+    """(plan, keep) of condition (b): the zero pattern j = 0 alone, kept at degree n."""
+    n = _require_power_shape(shape)
+    return _diagonal_plan(shape.dims, [0] * shape.s), lambda t, g: t == n
 
 
 @dataclass(frozen=True)
@@ -366,9 +367,10 @@ def _no_caps(r) -> None:
         raise InputError("E_USAGE", "caps r only apply to criterion thm13")
 
 
-def _thm12_domain(shape: Shape, r) -> None:
+def _thm12_domain(shape: Shape, r) -> tuple[int, ...]:
     _require_excess_shape(shape)
     _no_caps(r)
+    return (2,) * shape.s
 
 
 def _lemma14_domain(shape: Shape, r) -> None:
@@ -376,9 +378,10 @@ def _lemma14_domain(shape: Shape, r) -> None:
     _require_power_shape(shape)
 
 
-# criterion -> (domain and caps check returning the caps, hypothesis, conclusion).  Each
-# hypothesis is thm12_violations(E).empty, thm13_violations(E, r).empty or
-# lemma14_check(E).conditions_hold, from the same (lows, keep) by _no_kept_run.
+# criterion -> (domain check returning the caps, hypothesis, conclusion); each side maps (shape,
+# caps), once per audit after its guards, to a test of one degree a: thm12_violations(O(a)).empty,
+# thm13_violations(O(a), caps).empty or lemma14_check(O(a)).conditions_hold by _no_kept_run on
+# their (plan, keep), and _axis_form(a, caps) or lemma14's gap.
 # Every criterion registered here must give the same (hypothesis, conclusion) on O(a) and on
 # O(a + l*(1,...,1)) for every integer l, since the audit checks one degree per
 # diagonal class.  These three do: H^i(O(a + l*1)(j + tau*1)) = H^i(O(a)(j + (tau+l)*1)),
@@ -386,16 +389,13 @@ def _lemma14_domain(shape: Shape, r) -> None:
 # alone, so a shift only relabels tau (for lemma14's condition (b), t = tau).  The forms
 # l*(1,...,1) + c*e_k of thm12 and thm13 leave l free, and lemma14's conclusion reads only
 # the gaps a_i - a_k.
+_EXCESS = (lambda shape, caps: _no_kept_run(*_criterion_box(shape.dims, caps)),
+           lambda shape, caps: lambda a: _axis_form(a, caps) is not None)
 _CRITERIA = {
-    "thm12": (_thm12_domain,
-              lambda E, r: _no_kept_run(E, *_criterion_box(E, (2,) * E.shape.s)),
-              lambda E, r: thm12_conclusion_match(E).matched),
-    "thm13": (_check_caps,
-              lambda E, r: _no_kept_run(E, *_criterion_box(E, r)),
-              lambda E, r: thm13_conclusion_match(E, r).matched),
-    "lemma14": (_lemma14_domain,
-                lambda E, r: _no_kept_run(E, *_lemma14_box(E)),
-                lambda E, r: lemma14_conclusion_match(E)[0]),
+    "thm12": (_thm12_domain, *_EXCESS),
+    "thm13": (_check_caps, *_EXCESS),
+    "lemma14": (_lemma14_domain, lambda shape, r: _no_kept_run(*_lemma14_box(shape)),
+                lambda shape, r: lambda a: max(a) - min(a) <= shape.dims[0]),
 }
 
 
@@ -440,7 +440,7 @@ def _audit_rows(shape: Shape, bound: int, max_rank: int, criterion: str, r):
         raise InputError("E_RANGE", "need bound >= 0 and max_rank >= 1")
     if criterion not in _CRITERIA:
         raise InputError("E_USAGE", f"unknown criterion {criterion!r}")
-    domain, hypothesis, conclusion = _CRITERIA[criterion]
+    domain, *sides = _CRITERIA[criterion]
     r = domain(shape, r)
 
     def multisets(n: int) -> int:
@@ -454,16 +454,14 @@ def _audit_rows(shape: Shape, bound: int, max_rank: int, criterion: str, r):
     candidates = multisets(degrees) if cheap else None
     _refuse_past(candidates, AUDIT_GUARD, "candidate bundles", "desk-scale guard", AuditGuardError)
     _refuse_past(degrees, DEGREE_GUARD, "degrees", "degree guard", AuditGuardError)
+    hypothesis, conclusion = [make(shape, r) for make in sides]  # the hypothesis plans its box
     # product yields the degrees in lexicographic order, as canonical bundles sort them; a
     # class is keyed by its member with minimum 0 and checked on its first degree in the box.
     flags, classes = {}, {}
     for a in product(range(-bound, bound + 1), repeat=shape.s):
         low = min(a)
         key = tuple([x - low for x in a])
-        if key not in classes:
-            E = LineBundleSum(shape, ((a, 1),))
-            classes[key] = (hypothesis(E, r), conclusion(E, r))
-        flags[a] = classes[key]
+        flags[a] = classes.get(key) or classes.setdefault(key, (hypothesis(a), conclusion(a)))
     both = multisets(sum(h and c for h, c in flags.values()))
     hyp_only = multisets(sum(h for h, _ in flags.values())) - both
     concl_only = multisets(sum(c for _, c in flags.values())) - both

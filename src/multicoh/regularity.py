@@ -20,6 +20,7 @@ from .core import (
     _as_shape,
     _box_rows,
     _check_vector,
+    _diagonal_plan,
     _diagonal_runs,
     twist,
 )
@@ -84,7 +85,7 @@ def is_acm(E: LineBundleSum) -> tuple[bool, tuple[tuple[int, int], ...]]:
     twist with H^i(E(t, ..., t)) != 0, for an intermediate degree 0 < i < dim.
     """
     first: dict[int, int] = {}
-    for i, _, lo, _, _, _ in _diagonal_runs(E, (0,) * E.shape.s):
+    for i, _, lo, *_ in _diagonal_runs(E.summands, _diagonal_plan(E.shape.dims, [0] * E.shape.s)):
         first[i] = min(lo, first.get(i, lo))
     witnesses = tuple(sorted(first.items()))
     return (not witnesses, witnesses)

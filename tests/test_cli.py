@@ -559,10 +559,38 @@ def test_deeply_nested_bundle_json(capsys, tmp_path):
 
 
 def test_bundle_integer_past_the_digit_limit(capsys):
+    # one text on every Python: 3.10 and 3.11+ word their own ValueError differently
     bundle = '{"shape":[2],"summands":[{"degree":[' + "9" * 4301 + "]}]}"
     code, out, err = run(capsys, "cohomology", "--bundle", bundle, "--t", "0")
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("E_JSON: malformed bundle JSON")
+    assert (code, out) == (2, "")
+    assert err == "E_JSON: malformed bundle JSON: an integer has more than 4300 digits\n"
+    with pytest.raises(InputError) as e:
+        bundle_from_json(bundle)
+    assert (e.value.code, str(e.value)) == (
+        "E_JSON", "malformed bundle JSON: an integer has more than 4300 digits")
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["-hx"], "x"), (["check", "thm12", "--bundle", O22, "-hx"], "x"),
+    (["audit", "-hhxy", "--shape", "2,2"], "xy"), (["acm", "--bundle", O22, "-hx\n"], "x\n"),
+    (["--help=x"], "x"), (["audit", "-h=x", "-hy"], "x"), (["audit", "--nope", "-hx"], "x"),
+])
+def test_help_with_an_attached_value_is_refused(capsys, argv, value):
+    # argparse refuses -hx up to Python 3.12 but prints help on 3.13; the CLI refuses it on all
+    assert run(capsys, *argv) == (
+        2, "", f"E_USAGE: argument -h/--help: ignored explicit argument {value!r}\n")
+
+
+@pytest.mark.parametrize("argv", [["-hh"], ["audit", "-h", "-hx"], ["audit", "--help", "-hx"]])
+def test_help_before_a_help_cluster_prints_help(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("usage: multicoh")
+
+
+def test_help_cluster_after_double_dash_is_a_positional(capsys):
+    code, out, err = run(capsys, "check", "--bundle", O22, "--", "-hx")
+    assert (code, out) == (2, "")
+    assert err.startswith("E_USAGE: argument criterion: invalid choice: '-hx'")
 
 
 LONG_DEGREE = '{"shape":[2],"summands":[{"degree":[' + "9" * 4000 + "]}]}"

@@ -30,7 +30,7 @@ from multicoh import (
     sum_cohomology_dim,
     twist,
 )
-from multicoh.core import _canonical, _diagonal_runs
+from multicoh.core import _canonical, _diagonal_plan, _diagonal_runs
 
 from support import (
     bundles_st,
@@ -374,6 +374,11 @@ def runs_case_st(draw, max_factors=4, coord=degree_coord):
     return E, tuple(draw(st.integers(-n, 0), label="low") for n in dims)
 
 
+def diagonal_runs(E, lows):
+    """The runs of E over the box lows_k <= j_k <= 0, by a plan made for this one call."""
+    return _diagonal_runs(E.summands, _diagonal_plan(E.shape.dims, lows))
+
+
 @settings(max_examples=100, deadline=None)
 @given(runs_case_st())
 def test_diagonal_runs_match_kunneth_scan(case):
@@ -381,7 +386,7 @@ def test_diagonal_runs_match_kunneth_scan(case):
     exactly one run, no run holds a tau where it vanishes, and (degree, i, j) names one run."""
     E, lows = case
     dims, total = E.shape.dims, E.shape.total_dim
-    runs = list(_diagonal_runs(E, lows))
+    runs = list(diagonal_runs(E, lows))
     assert len({(degree, i, j) for i, j, _, _, degree, _ in runs}) == len(runs)
     held = Counter()
     for i, j, first, last, degree, mult in runs:
@@ -429,7 +434,7 @@ def diagonal_guard_count(E, lows) -> int:
     with pytest.MonkeyPatch.context() as m:
         m.setattr(core, "DIAGONAL_GUARD", -1)
         with pytest.raises(InputError) as e:
-            next(_diagonal_runs(E, lows))
+            next(diagonal_runs(E, lows))
     count, _, rest = str(e.value).partition(" ")
     assert rest == "j entries exceed the diagonal-join guard of -1"
     return int(count)
@@ -450,13 +455,13 @@ def test_diagonal_guard_boundary(monkeypatch):
     # in each of the two phases, cut at tau = -6, -3 and 0
     E, lows = line_bundle((2, 2, 2), (0, 3, 6)), (-2, -2, -2)
     assert diagonal_guard_count(E, lows) == 204
-    runs = list(_diagonal_runs(E, lows))
+    runs = list(diagonal_runs(E, lows))
     assert runs and written_j_entries(E, lows) <= 204
     monkeypatch.setattr(core, "DIAGONAL_GUARD", 204)
-    assert list(_diagonal_runs(E, lows)) == runs
+    assert list(diagonal_runs(E, lows)) == runs
     monkeypatch.setattr(core, "DIAGONAL_GUARD", 203)
     with pytest.raises(InputError) as e:
-        next(_diagonal_runs(E, lows))
+        next(diagonal_runs(E, lows))
     assert (e.value.code, str(e.value)) == (
         "E_GUARD", "204 j entries exceed the diagonal-join guard of 203")
 

@@ -427,24 +427,23 @@ def test_audit_listing_guard_refuses_before_building_mismatches(monkeypatch):
     assert str(e.value) == (
         f"956790 mismatch rows exceed the listing guard of {criteria.LISTING_GUARD}"
     )
-    assert built == [1] * (7 ** 3 - 6 ** 3)  # one line bundle per diagonal class
+    assert built == []  # the classes are decided on their degrees, with no bundle built
     assert trusted == []  # and no mismatch bundle
 
 
 def test_audit_degree_guard_refuses_before_evaluating(monkeypatch):
     import multicoh.criteria as criteria
 
-    built = []
-
-    def counting(shape, summands):
-        built.append(len(summands))
-        return LineBundleSum(shape, summands)
-
-    monkeypatch.setattr(criteria, "LineBundleSum", counting)
+    made = []
+    domain, *sides = criteria._CRITERIA["thm13"]
+    monkeypatch.setitem(criteria._CRITERIA, "thm13", (domain, *[
+        lambda shape, r, make=make: made.append(shape) or make(shape, r) for make in sides]))
     with pytest.raises(AuditGuardError) as e:
         desk_scale_audit((3, 1, 2), 30, 1, "thm13", r=(1, 0, 0))
     assert str(e.value) == "226981 degrees exceed the degree guard of 10000"
-    assert built == []
+    assert made == []  # neither side's test is made, so no degree is evaluated
+    assert desk_scale_audit((3, 1, 2), 1, 1, "thm13", r=(1, 0, 0)).total == 27
+    assert made == [Shape((3, 1, 2))] * 2  # and past the guards, each side's once
     # the candidate guard speaks first when both apply
     with pytest.raises(AuditGuardError) as e:
         desk_scale_audit((1, 1, 1), 30, 2, "lemma14")
@@ -479,15 +478,16 @@ def test_audit_listing_with_every_degree_class(monkeypatch):
     # listed as neither.
     import multicoh.criteria as criteria
 
-    def hyp(E, r):
-        a1, a2 = E.summands[0][0]
+    def hyp(a):
+        a1, a2 = a
         return a2 - a1 <= 0
 
-    def concl(E, r):
-        a1, a2 = E.summands[0][0]
+    def concl(a):
+        a1, a2 = a
         return 0 <= a2 - a1 <= 1
 
-    monkeypatch.setitem(criteria._CRITERIA, "stand-in", (lambda shape, r: r, hyp, concl))
+    monkeypatch.setitem(criteria._CRITERIA, "stand-in", (
+        lambda shape, r: r, lambda shape, r: hyp, lambda shape, r: concl))
     degrees = list(itertools.product(range(-2, 3), repeat=2))
     cells, expected = [0, 0, 0, 0], []
     for rho in range(1, 4):
@@ -581,7 +581,7 @@ def test_check_row_guard_counts_each_summand_rows(case):
 
 def test_check_jbox_guard_refuses_before_any_join(monkeypatch):
     import multicoh.criteria as criteria
-    from multicoh.core import _diagonal_runs
+    from multicoh.core import _diagonal_plan
 
     def no_keep(*args):
         raise AssertionError("a twist j was joined")
@@ -597,12 +597,11 @@ def test_check_jbox_guard_refuses_before_any_join(monkeypatch):
     with pytest.raises(InputError) as e:
         thm13_violations(line_bundle((2**300_000,) * 2, (0, 0)), (0, 0))
     assert str(e.value) == "more than 10000 twists j exceed the j-box guard of 10000"
-    # the join sizes its own box before it multiplies out the box_k of its entry count
+    # the plan sizes its box before it multiplies out the box_k of its entry count
     s = 2**19
-    E = line_bundle((1,) * s, (0,) * (s - 1) + (-3,))
     start = time.perf_counter()
     with pytest.raises(InputError) as e:
-        list(_diagonal_runs(E, [-1] * s))
+        _diagonal_plan((1,) * s, [-1] * s)
     assert time.perf_counter() - start < 1
     assert str(e.value) == "more than 10000 twists j exceed the j-box guard of 10000"
     # lemma14's box is the one twist j = 0 on any number of factors: degree 0 has no phase
@@ -656,14 +655,14 @@ def test_box_hit_dims_match_line_cohomology(data):
     top axes alike, against _line_cohomology summed over the summands at each row, in
     sorted rows."""
     import multicoh.criteria as criteria
-    from multicoh.core import _line_cohomology
+    from multicoh.core import _diagonal_plan, _line_cohomology
 
     dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3), label="dims"))
     coord = st.integers(-30, 30)
     degrees = data.draw(st.lists(st.tuples(*[coord] * len(dims)), min_size=1, max_size=3))
     E = bundle(dims, *degrees)
     lows = [data.draw(st.integers(-n, 0), label="low") for n in dims]
-    rows = criteria._box_hits(E, lows, lambda i, j: True)
+    rows = criteria._box_hits(E, _diagonal_plan(dims, lows), lambda i, j: True)
     assert rows == sorted(rows)
     for i, j, tau, dim in rows:
         want = 0
@@ -695,10 +694,9 @@ def test_check_jbox_guard_boundary(monkeypatch):
 
 
 def hashed_sides(seed):
-    """(hypothesis, conclusion) of a line bundle O(a), two bits of a hash of its diagonal class
-    key a - min(a): shift-invariant, as _CRITERIA requires, and free to take all four values."""
-    def sides(E):
-        a = E.summands[0][0]
+    """(hypothesis, conclusion) of a degree a, two bits of a hash of its diagonal class key
+    a - min(a): shift-invariant, as _CRITERIA requires, and free to take all four values."""
+    def sides(a):
         bits = hashlib.sha256(repr((seed, tuple(x - min(a) for x in a))).encode()).digest()[0]
         return bool(bits & 1), bool(bits & 2)
     return sides
@@ -716,11 +714,12 @@ def test_audit_listing_matches_brute_force_on_a_hashed_criterion(monkeypatch, sh
 
     sides = hashed_sides(seed)
     monkeypatch.setitem(criteria._CRITERIA, "hashed", (
-        lambda shape, r: r, lambda E, r: sides(E)[0], lambda E, r: sides(E)[1]))
+        lambda shape, r: r, lambda shape, r: lambda a: sides(a)[0],
+        lambda shape, r: lambda a: sides(a)[1]))
     built, trusted = [], criteria._canonical
     monkeypatch.setattr(criteria, "_canonical", lambda *args: built.append(args) or trusted(*args))
     degrees = sorted(itertools.product(range(-bound, bound + 1), repeat=len(shape)))
-    flags = {a: sides(line_bundle(shape, a)) for a in degrees}
+    flags = {a: sides(a) for a in degrees}
     assert len(set(flags.values())) == 4
     cells, expected = [0, 0, 0, 0], []
     for rho in range(1, max_rank + 1):
@@ -740,14 +739,14 @@ def test_audit_listing_matches_brute_force_on_a_hashed_criterion(monkeypatch, sh
 def test_audit_listing_is_linear_in_its_rows(monkeypatch):
     import multicoh.criteria as criteria
 
-    def corner_off(E, r):  # only the class of the corner (7, -7) on P^2 x P^2 loses the conclusion
-        a1, a2 = E.summands[0][0]
+    def corner_off(a):  # only the class of the corner (7, -7) on P^2 x P^2 loses the conclusion
+        a1, a2 = a
         return a1 - a2 != 14
 
     monkeypatch.setitem(criteria._CRITERIA, "hyp-only", (
-        lambda shape, r: r, lambda E, r: True, lambda E, r: False))
+        lambda shape, r: r, lambda shape, r: lambda a: True, lambda shape, r: lambda a: False))
     monkeypatch.setitem(criteria._CRITERIA, "corner-off", (
-        lambda shape, r: r, lambda E, r: True, corner_off))
+        lambda shape, r: r, lambda shape, r: lambda a: True, lambda shape, r: corner_off))
     # one degree on the hypothesis side alone: 20,000 rows O(0)^rho, each one more of the last
     start = time.perf_counter()
     report = desk_scale_audit((2,), 0, 20000, "hyp-only")
@@ -876,18 +875,24 @@ def hypothesis_cases_st(draw):
 @settings(max_examples=150, deadline=None)
 @given(hypothesis_cases_st())
 def test_audit_hypothesis_scan_matches_the_public_check(case):
-    # the audit decides each class at its first kept run: the same verdict as the full check
+    # The audit's per-degree test, made once and decided at the first kept run, ANDed over the
+    # summands gives the full check's verdict on the sum: the hypothesis is additive.
     import multicoh.criteria as criteria
 
     criterion, E = case
-    hypothesis = criteria._CRITERIA[criterion][1]
+    domain, make, _ = criteria._CRITERIA[criterion]
+
+    def anded(r):
+        test = make(E.shape, domain(E.shape, r))
+        return all([test(a) for a, _ in E.summands])
+
     if criterion == "thm12":
-        assert hypothesis(E, None) == thm12_violations(E).empty
+        assert anded(None) == thm12_violations(E).empty
     elif criterion == "lemma14":
-        assert hypothesis(E, None) == lemma14_check(E).conditions_hold
+        assert anded(None) == lemma14_check(E).conditions_hold
     else:
         for r in itertools.product(*[range(n + 1) for n in E.shape.dims]):
-            assert hypothesis(E, r) == thm13_violations(E, r).empty
+            assert anded(r) == thm13_violations(E, r).empty
 
 
 def test_audit_hypothesis_scan_stops_at_the_first_kept_run(monkeypatch):
@@ -899,7 +904,7 @@ def test_audit_hypothesis_scan_stops_at_the_first_kept_run(monkeypatch):
     E = line_bundle((2, 2), (0, 8))  # a violating class with many kept runs
     assert len(thm12_violations(E).rows) > 1
     full, calls[:] = len(calls), []
-    assert criteria._CRITERIA["thm12"][1](E, None) is False
+    assert criteria._CRITERIA["thm12"][1](E.shape, (2, 2))((0, 8)) is False
     assert 1 <= len(calls) < full
 
 
@@ -911,15 +916,61 @@ def test_audit_checks_each_diagonal_class_once(monkeypatch, criterion, shape, bo
     import multicoh.criteria as criteria
 
     seen = []
-    domain, hyp, concl = criteria._CRITERIA[criterion]
+    domain, make, concl = criteria._CRITERIA[criterion]
 
-    def counting(E, r):
-        seen.append(E.summands)
-        return hyp(E, r)
+    def counting(shape, r):
+        hyp = make(shape, r)
+        return lambda a: seen.append(a) or hyp(a)
 
     monkeypatch.setitem(criteria._CRITERIA, criterion, (domain, counting, concl))
     desk_scale_audit(shape, bound, 2, criterion, r=r)
     s = len(shape)
     assert len(seen) == (2 * bound + 1) ** s - (2 * bound) ** s
     # each on the degree of its class that comes first in the box, the one with minimum -bound
-    assert [min(summands[0][0]) for summands in seen] == [-bound] * len(seen)
+    assert [min(a) for a in seen] == [-bound] * len(seen)
+
+
+@pytest.mark.parametrize("criterion, shape, bound, r, classes", [
+    ("thm12", (2, 2, 2), 1, None, 19), ("thm13", (2, 3), 1, (1, 2), 5),
+    ("lemma14", (1, 1, 1), 2, None, 61),
+])
+def test_audit_plans_its_box_once(monkeypatch, criterion, shape, bound, r, classes):
+    # the j-box guard runs once per audit, on its one plan; the diagonal-join guard once per
+    # class, since its count depends on the class's degree
+    import multicoh.core as core
+
+    guards, real = [], core._refuse_past
+    monkeypatch.setattr(core, "_refuse_past",
+                        lambda count, limit, what, guard, *rest: guards.append(guard)
+                        or real(count, limit, what, guard, *rest))
+    desk_scale_audit(shape, bound, 2, criterion, r=r)
+    assert guards.count("j-box guard") == 1
+    assert guards.count("diagonal-join guard") == classes == (2 * bound + 1) ** len(shape) - (
+        2 * bound) ** len(shape)
+
+
+def test_audit_refusal_order(monkeypatch):
+    # domain, then candidates, then degrees, then the j-box guard, then each class's
+    # diagonal-join guard: each case passes every check before the one it trips
+    import multicoh.core as core
+
+    def refusal(*args, **kwargs):
+        with pytest.raises(InputError) as e:
+            desk_scale_audit(*args, **kwargs)
+        return e.value.code, str(e.value)
+
+    assert refusal((1, 2), 10**6, 3, "thm12") == (
+        "E_DOMAIN", "excess-2 criterion needs every factor of dimension >= 2")
+    assert refusal((2, 2), 10**6, 3, "thm12")[1].endswith(
+        "candidate bundles exceed the desk-scale guard of 10000000")
+    shape, r = (2,) * 13, (0,) * 13
+    assert refusal(shape, 1, 1, "thm13", r=r) == (
+        "E_GUARD", "1594323 degrees exceed the degree guard of 10000")
+    assert refusal(shape, 0, 1, "thm13", r=r) == (
+        "E_GUARD", "1594323 twists j exceed the j-box guard of 10000")
+    monkeypatch.setattr(core, "DIAGONAL_GUARD", 0)
+    assert refusal((2, 3), 1, 2, "thm13", r=(1, 2)) == (
+        "E_GUARD", "27 j entries exceed the diagonal-join guard of 0")
+    monkeypatch.setattr(core, "JBOX_GUARD", 11)
+    assert refusal((2, 3), 1, 2, "thm13", r=(1, 2)) == (
+        "E_GUARD", "12 twists j exceed the j-box guard of 11")
